@@ -7,7 +7,7 @@
 //! 1. **Blocking call under a live guard**
 //!    ([`ConcRule::BlockingUnderGuard`]): no call from the configurable
 //!    blocking set ([`AuditConfig::blocking`]; by default `execute`,
-//!    `execute_batch`, `wait_any`, `thread::sleep`, `recv`, and
+//!    `execute_batch`, `wait_drain`, `thread::sleep`, `recv`, and
 //!    zero-argument `join`) may happen while any lock guard is live.
 //!    Guard tracking is token-based, so it survives idioms the old
 //!    lexical pass admitted it could not see: guards bound across line
@@ -120,7 +120,7 @@ impl Default for AuditConfig {
             blocking: [
                 "execute",
                 "execute_batch",
-                "wait_any",
+                "wait_drain",
                 "sleep",
                 "recv",
                 "join",

@@ -11,18 +11,18 @@
 //! What each model proves (within exhaustive bounds — see
 //! [`Stats::complete`](schedcheck::Stats)):
 //!
-//! - [`targeted_wakeup_model`]: ReqPump's `Waiter` protocol (register
-//!   interest under the state lock → sleep on a private slot; `complete`
-//!   publishes the result *then* wakes interested waiters outside the
-//!   lock) never loses a wakeup, never delivers twice into one slot, and
-//!   never wakes a waiter for a call whose result is absent.
-//! - [`batched_drain_model`]: the `take_completed` bulk-drain loop that
+//! - [`targeted_wakeup_model`]: ReqPump's completion inbox (watch under
+//!   the state lock; the dispatcher delivers a batch of completions
+//!   under one acquisition and wakes the inbox outside it, only on its
+//!   empty → non-empty edge) never loses a wakeup, never delivers a call
+//!   twice, and never delivers a call whose result is not published.
+//! - [`batched_drain_model`]: the watch → `wait_drain` loop that
 //!   `ReqSyncExec` runs processes every completion exactly once and
 //!   terminates under every schedule.
 //! - [`stall_resume_model`]: the admission-control handshake a *capped*
 //!   ReqSync runs (DESIGN.md §11) — admit until full, then alternate
-//!   `take_completed` drains with `wait_any` until the low-water mark —
-//!   never loses a wakeup (even when the pump completes the last
+//!   flush-and-drain with a blocking `wait_drain` until the low-water
+//!   mark — never loses a wakeup (even when the pump completes the last
 //!   pending call exactly as the scan stalls), never patches twice,
 //!   never exceeds the cap, and cannot deadlock at `cap == 1`.
 //! - [`batch_admission_model`]: the batch-at-a-time fill loop a capped
@@ -31,6 +31,9 @@
 //!   mark between chunks, against completers racing the whole loop —
 //!   never loses a wakeup, never patches twice, never lets occupancy
 //!   exceed the cap, and always exits fully drained.
+//! - [`late_watch_model`]: a watch that arrives after its call completed
+//!   is delivered by the watch itself, and one coalesced call watched by
+//!   two inboxes reaches each exactly once.
 //! - [`window_flush_model`]: the submission-window flush path (pump.rs
 //!   `window_batches` + event-loop dispatch) — a fill-to-window flusher
 //!   racing a timer-wake flusher over one shared queue, with completions
@@ -76,45 +79,62 @@ fn bounds() -> Config {
 }
 
 // ---------------------------------------------------------------------
-// Model 1: ReqPump targeted wakeups (pump.rs `Waiter` / `complete`).
+// Model 1: the ReqPump completion inbox (pump.rs `Inbox` / `InboxCore` /
+// `complete_locked` / `deliver_interest`).
 // ---------------------------------------------------------------------
 
-/// One blocked `wait_any` caller, exactly as in `pump.rs`: a private
-/// slot + condvar; `wake` is write-once.
-struct Waiter {
-    slot: Mutex<Option<u64>>,
-    cv: Condvar,
-    /// Deliveries that actually landed (for the no-double-delivery
-    /// assertion; the real code has no such counter).
-    delivered: Mutex<u32>,
+/// An inbox's private state, exactly as in `pump.rs::InboxSlot`.
+#[derive(Default)]
+struct InboxSlot {
+    ready: Vec<(u64, u64)>,
+    watching: usize,
+    sleeping: bool,
 }
 
-impl Waiter {
-    fn new() -> Waiter {
-        Waiter {
-            slot: Mutex::new(None),
+impl InboxSlot {
+    /// `InboxSlot::push`: queue a delivery; wake only on the empty →
+    /// non-empty edge of a sleeping owner.
+    fn push(&mut self, delivery: (u64, u64)) -> bool {
+        let wake = self.sleeping && self.ready.is_empty();
+        self.ready.push(delivery);
+        if wake {
+            self.sleeping = false;
+        }
+        wake
+    }
+}
+
+/// One consumer's inbox: a private slot + condvar, as in `pump.rs`.
+struct Inbox {
+    slot: Mutex<InboxSlot>,
+    cv: Condvar,
+}
+
+impl Inbox {
+    fn new() -> Arc<Inbox> {
+        Arc::new(Inbox {
+            slot: Mutex::new(InboxSlot::default()),
             cv: Condvar::new(),
-            delivered: Mutex::new(0),
-        }
+        })
     }
 
-    fn wake(&self, cid: u64) {
-        let mut slot = self.slot.lock();
-        if slot.is_none() {
-            *slot = Some(cid);
-            let mut d = self.delivered.lock();
-            *d += 1;
-            assert!(*d <= 1, "double delivery into one waiter slot");
-            self.cv.notify_one();
-        }
+    /// `Inbox::try_drain`.
+    fn try_drain(&self) -> Vec<(u64, u64)> {
+        std::mem::take(&mut self.slot.lock().ready)
     }
 
-    fn sleep(&self) -> u64 {
+    /// `Inbox::wait_drain`: sleep until something is delivered, then take
+    /// all of it. A wait with nothing delivered and nothing watched would
+    /// hang in a model; the real code errors instead.
+    fn wait_drain(&self) -> Vec<(u64, u64)> {
         let mut slot = self.slot.lock();
         loop {
-            if let Some(cid) = *slot {
-                return cid;
+            if !slot.ready.is_empty() {
+                slot.sleeping = false;
+                return std::mem::take(&mut slot.ready);
             }
+            assert!(slot.watching > 0, "inbox wait with no call watched");
+            slot.sleeping = true;
             slot = self.cv.wait(slot);
         }
     }
@@ -125,7 +145,10 @@ impl Waiter {
 #[derive(Default)]
 struct PumpState {
     results: BTreeMap<u64, u64>,
-    interest: BTreeMap<u64, Vec<Arc<Waiter>>>,
+    interest: BTreeMap<u64, Vec<Arc<Inbox>>>,
+    /// Watches that found their call already complete (coverage probe;
+    /// the real code keeps no such counter).
+    late_watches: usize,
 }
 
 struct MiniPump {
@@ -139,86 +162,101 @@ impl MiniPump {
         }
     }
 
-    /// `pump.rs::ReqPump::wait_any`: fast-path check and interest
-    /// registration under one lock acquisition, then sleep, then
-    /// deregister.
-    fn wait_any(&self, calls: &[u64]) -> u64 {
-        let waiter = {
-            let mut st = self.state.lock();
-            if let Some(&done) = calls.iter().find(|c| st.results.contains_key(c)) {
-                return done;
-            }
-            let waiter = Arc::new(Waiter::new());
-            for &c in calls {
-                st.interest.entry(c).or_default().push(waiter.clone());
-            }
-            waiter
-        };
-        let cid = waiter.sleep();
+    /// `Inbox::watch`: under the state lock, deliver calls that already
+    /// completed and record interest in the rest; count the watches in
+    /// the inbox before the state lock is dropped; notify outside it.
+    fn watch(&self, inbox: &Arc<Inbox>, calls: &[u64]) {
         let mut st = self.state.lock();
+        let mut done = Vec::new();
+        let mut added = 0;
         for &c in calls {
-            if let Some(list) = st.interest.get_mut(&c) {
-                list.retain(|w| !Arc::ptr_eq(w, &waiter));
-                if list.is_empty() {
-                    st.interest.remove(&c);
+            if let Some(&v) = st.results.get(&c) {
+                st.late_watches += 1;
+                done.push((c, v));
+            } else {
+                added += 1;
+                st.interest.entry(c).or_default().push(inbox.clone());
+            }
+        }
+        let wake = {
+            let mut slot = inbox.slot.lock();
+            slot.watching += added;
+            let mut wake = false;
+            for d in done {
+                wake |= slot.push(d);
+            }
+            wake
+        };
+        drop(st);
+        if wake {
+            inbox.cv.notify_one();
+        }
+    }
+
+    /// The event loop's delivery round (`complete_locked` per due reply,
+    /// one state-lock acquisition): publish each result and move it into
+    /// every watching inbox; notify the inboxes that need it outside the
+    /// lock.
+    fn complete_batch(&self, batch: &[(u64, u64)]) {
+        let wake = {
+            let mut st = self.state.lock();
+            let mut wake: Vec<Arc<Inbox>> = Vec::new();
+            for &(cid, value) in batch {
+                st.results.insert(cid, value);
+                for inbox in st.interest.remove(&cid).unwrap_or_default() {
+                    let mut slot = inbox.slot.lock();
+                    slot.watching -= 1;
+                    if slot.push((cid, value)) {
+                        drop(slot);
+                        wake.push(inbox);
+                    }
                 }
             }
-        }
-        cid
-    }
-
-    /// `pump.rs::complete`: publish the result and detach the interest
-    /// list under the lock; wake the waiters outside it.
-    fn complete(&self, cid: u64, value: u64) {
-        let waiters = {
-            let mut st = self.state.lock();
-            st.results.insert(cid, value);
-            st.interest.remove(&cid).unwrap_or_default()
+            wake
         };
-        for w in waiters {
-            w.wake(cid);
+        for inbox in wake {
+            inbox.cv.notify_one();
         }
     }
 
-    fn take_completed(&self, calls: &[u64]) -> Vec<(u64, u64)> {
-        let st = self.state.lock();
-        calls
-            .iter()
-            .filter_map(|c| st.results.get(c).map(|v| (*c, *v)))
-            .collect()
+    fn complete(&self, cid: u64, value: u64) {
+        self.complete_batch(&[(cid, value)]);
     }
 }
 
-/// No lost wakeup, no double delivery, no phantom wake: one waiter on
-/// `{1, 2}` races two completer threads.
+/// No lost wakeup, no double delivery, no phantom delivery: one inbox
+/// watching `{1, 2}` races two completer threads, one of them delivering
+/// both calls in a single batch.
 pub fn targeted_wakeup_model() -> Stats {
     check_with(bounds(), || {
         let pump = Arc::new(MiniPump::new());
-        let completers: Vec<_> = [1u64, 2u64]
-            .into_iter()
-            .map(|cid| {
-                let p = pump.clone();
-                thread::spawn(move || p.complete(cid, cid * 10))
-            })
-            .collect();
-        let got = pump.wait_any(&[1, 2]);
-        // The wake must name a call whose result is actually published
-        // (no phantom wakeup), and the value must be the completer's.
-        let st = pump.state.lock();
-        assert_eq!(st.results.get(&got), Some(&(got * 10)), "phantom wakeup");
-        drop(st);
-        for c in completers {
-            c.join();
+        let p = pump.clone();
+        let single = thread::spawn(move || p.complete(1, 10));
+        let p = pump.clone();
+        let batch = thread::spawn(move || p.complete_batch(&[(2, 20), (3, 30)]));
+        let inbox = Inbox::new();
+        pump.watch(&inbox, &[1, 2]);
+        let mut got: BTreeMap<u64, u64> = BTreeMap::new();
+        while got.len() < 2 {
+            let drained = inbox.wait_drain();
+            assert!(!drained.is_empty(), "woken with nothing delivered");
+            for (cid, v) in drained {
+                assert!(cid == 1 || cid == 2, "delivered unwatched call {cid}");
+                assert_eq!(v, cid * 10, "phantom delivery");
+                assert!(got.insert(cid, v).is_none(), "double delivery of {cid}");
+            }
         }
-        // Both results present; no interest entry leaked.
+        single.join();
+        batch.join();
+        assert!(inbox.try_drain().is_empty(), "a call was delivered twice");
         let st = pump.state.lock();
-        assert_eq!(st.results.len(), 2, "a completion vanished");
+        assert_eq!(st.results.len(), 3, "a completion vanished");
         assert!(st.interest.is_empty(), "leaked interest registration");
     })
 }
 
-/// The `ReqSyncExec::drain_completions` shape: block on `wait_any`,
-/// bulk-drain with `take_completed`, repeat until all calls are
+/// The `ReqSyncExec` drain shape: watch once, then block on
+/// `wait_drain` and patch everything it hands over, until all calls are
 /// patched. Every completion is processed exactly once.
 pub fn batched_drain_model() -> Stats {
     check_with(bounds(), || {
@@ -230,15 +268,13 @@ pub fn batched_drain_model() -> Stats {
                 thread::spawn(move || p.complete(cid, cid + 100))
             })
             .collect();
+        let inbox = Inbox::new();
+        pump.watch(&inbox, &[1, 2]);
         let mut pending: Vec<u64> = vec![1, 2];
         let mut processed: BTreeMap<u64, u64> = BTreeMap::new();
         while !pending.is_empty() {
-            let _woke = pump.wait_any(&pending);
-            let drained = pump.take_completed(&pending);
-            assert!(
-                !drained.is_empty(),
-                "wait_any returned but the drain found nothing"
-            );
+            let drained = inbox.wait_drain();
+            assert!(!drained.is_empty(), "woken with nothing delivered");
             for (cid, v) in drained {
                 // Exactly-once: pending still contains the call, and we
                 // have not patched it before.
@@ -258,27 +294,89 @@ pub fn batched_drain_model() -> Stats {
     })
 }
 
+/// A capped ReqSync's view of its buffer in the models below: admitted
+/// calls (not yet patched), calls admitted but not yet watched, and the
+/// patched results.
+#[derive(Default)]
+struct MiniSync {
+    buffered: Vec<u64>,
+    unwatched: Vec<u64>,
+    processed: BTreeMap<u64, u64>,
+}
+
+impl MiniSync {
+    /// `admit`: index the call; its watch waits for the next flush.
+    fn admit(&mut self, cid: u64) {
+        self.buffered.push(cid);
+        self.unwatched.push(cid);
+    }
+
+    /// `flush_watches`: one `watch` for everything admitted since.
+    fn flush(&mut self, pump: &MiniPump, inbox: &Arc<Inbox>) {
+        if !self.unwatched.is_empty() {
+            let calls = std::mem::take(&mut self.unwatched);
+            pump.watch(inbox, &calls);
+        }
+    }
+
+    fn patch(&mut self, drained: Vec<(u64, u64)>) {
+        for (cid, v) in drained {
+            assert!(
+                self.processed.insert(cid, v).is_none(),
+                "double patch of {cid}"
+            );
+            self.buffered.retain(|c| *c != cid);
+        }
+    }
+
+    /// `drain_completions`: flush, then patch with whatever is in the
+    /// inbox, without blocking.
+    fn drain(&mut self, pump: &MiniPump, inbox: &Arc<Inbox>) {
+        self.flush(pump, inbox);
+        let drained = inbox.try_drain();
+        self.patch(drained);
+    }
+
+    /// `await_completions`: flush, block in `wait_drain`, patch.
+    fn await_some(&mut self, pump: &MiniPump, inbox: &Arc<Inbox>) {
+        self.flush(pump, inbox);
+        let drained = inbox.wait_drain();
+        self.patch(drained);
+    }
+
+    /// `stall_until_low_water`: at the cap, alternate drains with
+    /// blocking waits until occupancy reaches `cap / 2`.
+    fn stall(&mut self, pump: &MiniPump, inbox: &Arc<Inbox>, cap: usize) {
+        if self.buffered.len() < cap {
+            return;
+        }
+        loop {
+            self.drain(pump, inbox);
+            if self.buffered.len() <= cap / 2 {
+                break;
+            }
+            self.await_some(pump, inbox);
+        }
+    }
+}
+
 /// The capped `ReqSyncExec` admission loop (`stall_until_low_water`),
 /// at the real code's exact synchronization points: admit one call per
-/// child pull; at `cap` buffered, alternate a `take_completed` drain
-/// with `wait_any` until occupancy reaches the low-water mark
-/// (`cap / 2`); after the child is exhausted, drain the tail the same
-/// way. Completer threads race the whole loop (`split` uses two, so
-/// completion order itself is explored adversarially).
+/// child pull (its watch deferred to the next flush); at `cap` buffered,
+/// alternate a flush-and-drain with a blocking `wait_drain` until
+/// occupancy reaches the low-water mark (`cap / 2`); after the child is
+/// exhausted, wait out the tail the same way. Completer threads race the
+/// whole loop (`split` uses two, so completion order itself is explored
+/// adversarially).
 ///
 /// The checker proves, over every interleaving: every call is patched
 /// exactly once, occupancy never exceeds the cap, and the loop always
 /// terminates — in particular the stall cannot miss the completion of
-/// its last pending call (`wait_any`'s fast path re-checks `results`
-/// under the same lock that registers interest), and `cap == 1`, the
-/// tightest setting, admits → waits → drains without deadlock.
+/// its last pending call (a watch that arrives after the completion
+/// delivers it under the same lock the completer publishes under), and
+/// `cap == 1`, the tightest setting, admits → waits → drains without
+/// deadlock.
 pub fn stall_resume_model(cap: usize, split: bool) -> Stats {
-    fn drain(pump: &MiniPump, buffered: &mut Vec<u64>, processed: &mut BTreeMap<u64, u64>) {
-        for (cid, v) in pump.take_completed(buffered) {
-            assert!(processed.insert(cid, v).is_none(), "double patch of {cid}");
-            buffered.retain(|c| *c != cid);
-        }
-    }
     check_with(bounds(), move || {
         let pump = Arc::new(MiniPump::new());
         // One completer finishing three calls in order, or — to explore
@@ -301,33 +399,23 @@ pub fn stall_resume_model(cap: usize, split: bool) -> Stats {
                 })
             })
             .collect();
-        let mut buffered: Vec<u64> = Vec::new();
-        let mut processed: BTreeMap<u64, u64> = BTreeMap::new();
+        let inbox = Inbox::new();
+        let mut sync = MiniSync::default();
         let mut high_water = 0usize;
         for cid in 1..=n {
-            buffered.push(cid);
-            high_water = high_water.max(buffered.len());
-            if buffered.len() >= cap {
-                let low = cap / 2;
-                loop {
-                    drain(&pump, &mut buffered, &mut processed);
-                    if buffered.len() <= low {
-                        break;
-                    }
-                    pump.wait_any(&buffered);
-                }
-            }
+            sync.admit(cid);
+            high_water = high_water.max(sync.buffered.len());
+            sync.stall(&pump, &inbox, cap);
         }
-        while !buffered.is_empty() {
-            pump.wait_any(&buffered);
-            drain(&pump, &mut buffered, &mut processed);
+        while !sync.buffered.is_empty() {
+            sync.await_some(&pump, &inbox);
         }
         for c in completers {
             c.join();
         }
-        assert_eq!(processed.len(), n as usize, "a call was never patched");
+        assert_eq!(sync.processed.len(), n as usize, "a call was never patched");
         for cid in 1..=n {
-            assert_eq!(processed.get(&cid), Some(&(cid + 100)));
+            assert_eq!(sync.processed.get(&cid), Some(&(cid + 100)));
         }
         assert!(
             high_water <= cap,
@@ -339,13 +427,13 @@ pub fn stall_resume_model(cap: usize, split: bool) -> Stats {
 /// The batch-at-a-time admission loop a *capped* `ReqSyncExec` runs
 /// when the executor batch size exceeds the cap (DESIGN.md §14), at the
 /// real code's synchronization points: `batch_room` sizes each child
-/// pull to the free space under the cap, the whole chunk is admitted,
-/// and `stall_until_low_water` alternates `take_completed` drains with
-/// `wait_any` until occupancy reaches `cap / 2` before the next chunk —
-/// so one oversized batch crosses the buffer in cap-bounded waves.
-/// Completer threads race the entire loop (`split` uses two, so
-/// completion order itself is explored adversarially without exploding
-/// the schedule tree).
+/// pull to the free space under the cap, the whole chunk is admitted
+/// (watches deferred to one flush), and `stall_until_low_water`
+/// alternates flush-and-drain with blocking `wait_drain` until occupancy
+/// reaches `cap / 2` before the next chunk — so one oversized batch
+/// crosses the buffer in cap-bounded waves. Completer threads race the
+/// entire loop (`split` uses two, so completion order itself is explored
+/// adversarially without exploding the schedule tree).
 ///
 /// The checker proves, over every interleaving: every call in the batch
 /// is patched exactly once, occupancy never exceeds the cap (even
@@ -353,12 +441,6 @@ pub fn stall_resume_model(cap: usize, split: bool) -> Stats {
 /// particular a completion landing exactly as the fill stalls between
 /// chunks — and the loop always exits fully drained.
 pub fn batch_admission_model(cap: usize, batch: usize, split: bool) -> Stats {
-    fn drain(pump: &MiniPump, buffered: &mut Vec<u64>, processed: &mut BTreeMap<u64, u64>) {
-        for (cid, v) in pump.take_completed(buffered) {
-            assert!(processed.insert(cid, v).is_none(), "double patch of {cid}");
-            buffered.retain(|c| *c != cid);
-        }
-    }
     check_with(bounds(), move || {
         let pump = Arc::new(MiniPump::new());
         // One completer finishing the batch in order, or the batch's
@@ -382,54 +464,94 @@ pub fn batch_admission_model(cap: usize, batch: usize, split: bool) -> Stats {
                 })
             })
             .collect();
+        let inbox = Inbox::new();
+        let mut sync = MiniSync::default();
         let mut remaining: Vec<u64> = (1..=batch as u64).collect();
-        let mut buffered: Vec<u64> = Vec::new();
-        let mut processed: BTreeMap<u64, u64> = BTreeMap::new();
         let mut high_water = 0usize;
         while !remaining.is_empty() {
             // `batch_room`: the chunk of the batch the free space under
             // the cap admits (the fill only runs below capacity, so the
             // room is always at least one).
             let room = cap
-                .saturating_sub(buffered.len())
+                .saturating_sub(sync.buffered.len())
                 .max(1)
                 .min(remaining.len());
             for cid in remaining.drain(..room) {
-                buffered.push(cid);
-                high_water = high_water.max(buffered.len());
+                sync.admit(cid);
+                high_water = high_water.max(sync.buffered.len());
             }
-            if buffered.len() >= cap {
-                let low = cap / 2;
-                loop {
-                    drain(&pump, &mut buffered, &mut processed);
-                    if buffered.len() <= low {
-                        break;
-                    }
-                    pump.wait_any(&buffered);
-                }
-            }
+            sync.stall(&pump, &inbox, cap);
         }
-        while !buffered.is_empty() {
-            pump.wait_any(&buffered);
-            drain(&pump, &mut buffered, &mut processed);
+        while !sync.buffered.is_empty() {
+            sync.await_some(&pump, &inbox);
         }
         for c in completers {
             c.join();
         }
         assert_eq!(
-            processed.len(),
+            sync.processed.len(),
             batch,
             "a call in the batch was never patched"
         );
         for cid in 1..=batch as u64 {
-            assert_eq!(processed.get(&cid), Some(&(cid + 100)));
+            assert_eq!(sync.processed.get(&cid), Some(&(cid + 100)));
         }
         assert!(
             high_water <= cap,
             "batch admission let occupancy {high_water} exceed the cap {cap}"
         );
-        assert!(buffered.is_empty(), "exit must be fully drained");
+        assert!(sync.buffered.is_empty(), "exit must be fully drained");
     })
+}
+
+/// The two delivery paths that bypass the plain watch → complete →
+/// wake sequence, one per `shared` setting:
+///
+/// - `shared == false`, a **late watch**: a completer finishes call 1
+///   while the consumer watches it, in every order — including after the
+///   completion, when `watch` itself delivers it under the state lock.
+/// - `shared == true`, a **coalesced call watched by two inboxes**: the
+///   completer finishes call 7 while inbox A (this thread) and inbox B
+///   (its own thread) both watch it; each gets its own copy from the
+///   one delivery.
+///
+/// The checker proves, over every interleaving: each inbox receives the
+/// call exactly once and nothing else, no waiter sleeps through its
+/// delivery, and no interest entry is left behind. Returns the stats
+/// and how many schedules took the watch-after-completion path, so a
+/// caller can check that the path was covered.
+pub fn late_watch_model(shared: bool) -> (Stats, usize) {
+    let late = Arc::new(std::sync::atomic::AtomicUsize::new(0));
+    let seen = late.clone();
+    let stats = check_with(bounds(), move || {
+        let call = if shared { 7 } else { 1 };
+        let pump = Arc::new(MiniPump::new());
+        let p = pump.clone();
+        let completer = thread::spawn(move || p.complete(call, call + 100));
+        let other = shared.then(|| {
+            let p = pump.clone();
+            thread::spawn(move || {
+                let inbox = Inbox::new();
+                p.watch(&inbox, &[call]);
+                assert_eq!(inbox.wait_drain(), vec![(call, call + 100)], "inbox B");
+                assert!(inbox.try_drain().is_empty(), "inbox B got {call} twice");
+            })
+        });
+        let inbox = Inbox::new();
+        pump.watch(&inbox, &[call]);
+        assert_eq!(inbox.wait_drain(), vec![(call, call + 100)], "inbox A");
+        completer.join();
+        if let Some(b) = other {
+            b.join();
+        }
+        assert!(inbox.try_drain().is_empty(), "inbox A got {call} twice");
+        let st = pump.state.lock();
+        assert!(st.interest.is_empty(), "leaked interest registration");
+        if st.late_watches > 0 {
+            seen.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        }
+    });
+    (stats, late.load(std::sync::atomic::Ordering::Relaxed))
 }
 
 // ---------------------------------------------------------------------
@@ -536,7 +658,7 @@ impl MiniBatcher {
         self.done_cv.notify_all();
     }
 
-    /// The blocked caller (`wait_any` shape): the no-lost-wakeup
+    /// The blocked caller (`Inbox::wait_drain` shape): the no-lost-wakeup
     /// property is this loop terminating under every schedule.
     fn wait_all(&self, n: usize) {
         let mut l = self.launched.lock();
@@ -1112,7 +1234,7 @@ impl MiniRacePump {
         self.cv.notify_all();
     }
 
-    /// The group waiter (`wait_any` on the group id): sleep until the
+    /// The group waiter (`ReqPump::wait` on the group id): sleep until the
     /// race decides, then consume the winner (drop the group's ref on
     /// it).
     fn group_wait(&self) -> u64 {
@@ -1249,6 +1371,17 @@ mod tests {
         let stats = batch_admission_model(1, 2, true);
         assert!(stats.complete, "exploration hit the schedule cap");
         assert!(stats.schedules >= 2, "expected multiple interleavings");
+    }
+
+    #[test]
+    fn late_watch_and_shared_call_deliver_exactly_once_per_inbox() {
+        for shared in [false, true] {
+            let (stats, late) = late_watch_model(shared);
+            assert!(stats.complete, "exploration hit the schedule cap");
+            assert!(stats.schedules >= 2, "expected multiple interleavings");
+            assert!(late > 0, "no schedule watched a call after it completed");
+            assert!(late < stats.schedules, "every schedule watched late");
+        }
     }
 
     #[test]

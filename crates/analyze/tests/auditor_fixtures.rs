@@ -64,7 +64,20 @@ fn seeded_helper_returned_guard_is_reported() {
     assert_eq!(f.rule, ConcRule::BlockingUnderGuard);
     assert_eq!((f.function.as_str(), f.line), ("drain", 15));
     assert!(
-        f.detail.contains("wait_any") && f.detail.contains("`buf`"),
+        f.detail.contains("wait_drain") && f.detail.contains("`buf`"),
+        "{f}"
+    );
+}
+
+#[test]
+fn seeded_inbox_wait_under_guard_is_reported() {
+    let got = audit("inbox_guard.rs", include_str!("fixtures/inbox_guard.rs"));
+    assert_eq!(got.len(), 1, "only the wait under the guard: {got:#?}");
+    let f = &got[0];
+    assert_eq!(f.rule, ConcRule::BlockingUnderGuard);
+    assert_eq!((f.function.as_str(), f.line), ("await_completions", 12));
+    assert!(
+        f.detail.contains("wait_drain") && f.detail.contains("`buffered`"),
         "{f}"
     );
 }
@@ -96,15 +109,20 @@ fn findings_are_stable_across_a_combined_scan() {
             "helper_guard.rs".into(),
             include_str!("fixtures/helper_guard.rs").into(),
         ),
+        (
+            "inbox_guard.rs".into(),
+            include_str!("fixtures/inbox_guard.rs").into(),
+        ),
         ("clean.rs".into(), include_str!("fixtures/clean.rs").into()),
     ];
     let got = audit_sources(&files, &AuditConfig::default());
-    assert_eq!(got.len(), 4, "{got:#?}");
+    assert_eq!(got.len(), 5, "{got:#?}");
     let mut rules: Vec<&str> = got.iter().map(|f| f.rule.name()).collect();
     rules.sort();
     assert_eq!(
         rules,
         [
+            "blocking-under-guard",
             "blocking-under-guard",
             "blocking-under-guard",
             "lock-order-cycle",

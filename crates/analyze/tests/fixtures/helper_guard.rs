@@ -9,9 +9,9 @@ impl Sync {
         self.inner.lock()
     }
 
-    fn drain(&self, pending: &[CallId]) {
+    fn drain(&self) {
         let buf = self.buffer();
         buf.compact();
-        self.pump.wait_any(pending);
+        self.inbox.wait_drain();
     }
 }

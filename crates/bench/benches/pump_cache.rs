@@ -68,7 +68,7 @@ fn bench_cache_workloads(c: &mut Criterion) {
 }
 
 /// Pump churn: every thread registers, waits on, and releases its own
-/// calls through the shared pump — exercising targeted wakeups and the
+/// calls through the shared pump — exercising inbox delivery and the
 /// atomic stats path under contention.
 fn bench_pump_churn(c: &mut Criterion) {
     let mut g = c.benchmark_group("pump/churn");
@@ -108,9 +108,10 @@ fn bench_pump_churn(c: &mut Criterion) {
     g.finish();
 }
 
-/// Batched drain vs per-call peeks: collect the results of a completed
-/// batch the way ReqSync does.
-fn bench_take_completed(c: &mut Criterion) {
+/// Inbox drain vs per-call peeks: collect the results of a completed
+/// batch. The inbox path watches every call (each is already complete,
+/// so the watch delivers it at once, under one lock) and drains them.
+fn bench_inbox_drain(c: &mut Criterion) {
     let pump = ReqPump::new(PumpConfig {
         max_concurrent: 512,
         default_per_destination: 512,
@@ -124,7 +125,13 @@ fn bench_take_completed(c: &mut Criterion) {
         pump.wait(cid).unwrap();
     }
     let mut g = c.benchmark_group("pump/drain256");
-    g.bench_function("take_completed", |b| b.iter(|| pump.take_completed(&ids)));
+    g.bench_function("watch_then_drain", |b| {
+        b.iter(|| {
+            let inbox = pump.subscribe();
+            inbox.watch(&ids).unwrap();
+            inbox.try_drain()
+        })
+    });
     g.bench_function("per_call_peek", |b| {
         b.iter(|| {
             ids.iter()
@@ -140,6 +147,6 @@ criterion_group!(
     benches,
     bench_cache_workloads,
     bench_pump_churn,
-    bench_take_completed
+    bench_inbox_drain
 );
 criterion_main!(benches);

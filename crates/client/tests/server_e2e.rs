@@ -171,12 +171,14 @@ fn disconnect_mid_query_releases_pump_slots_and_buffered_tuples() {
     loop {
         let live = pump.live_calls();
         let buffered = obs.metrics().map_or(0, |m| m.reqsync_buffered.get());
-        if live == 0 && buffered == 0 {
+        let watchers = pump.live_watchers();
+        if live == 0 && buffered == 0 && watchers == 0 {
             break;
         }
         assert!(
             Instant::now() < deadline,
-            "disconnect leaked: live_calls={live} reqsync_buffered={buffered}"
+            "disconnect leaked: live_calls={live} reqsync_buffered={buffered} \
+             live_watchers={watchers}"
         );
         std::thread::sleep(Duration::from_millis(10));
     }
@@ -244,12 +246,14 @@ fn disconnect_mid_race_cancels_losers_and_releases_every_slot() {
     loop {
         let live = pump.live_calls();
         let buffered = obs.metrics().map_or(0, |m| m.reqsync_buffered.get());
-        if live == 0 && buffered == 0 {
+        let watchers = pump.live_watchers();
+        if live == 0 && buffered == 0 && watchers == 0 {
             break;
         }
         assert!(
             Instant::now() < deadline,
-            "race disconnect leaked: live_calls={live} reqsync_buffered={buffered}"
+            "race disconnect leaked: live_calls={live} reqsync_buffered={buffered} \
+             live_watchers={watchers}"
         );
         std::thread::sleep(Duration::from_millis(10));
     }

@@ -7,16 +7,16 @@ use std::sync::Arc;
 use wsq_common::{GroupKey, Result, Schema, Tuple, TupleBatch, Value, WsqError};
 use wsq_sql::ast::{AggFunc, ColumnRef, Expr, Literal};
 use wsq_storage::codec;
-use wsq_storage::heap::HeapFile;
+use wsq_storage::heap::{HeapCursor, HeapFile};
 
-/// Sequential scan of a stored heap file.
+/// Sequential scan of a stored heap file, a page at a time: each heap
+/// page is copied out of the buffer pool in one access and its rows are
+/// decoded from the copy.
 pub struct SeqScanExec {
     heap: Arc<HeapFile>,
     /// Qualified output schema (alias applied).
     schema: Schema,
-    /// Unqualified storage schema for decoding.
-    page: u32,
-    slot: u16,
+    cursor: HeapCursor,
 }
 
 impl SeqScanExec {
@@ -25,8 +25,7 @@ impl SeqScanExec {
         SeqScanExec {
             heap,
             schema,
-            page: 1,
-            slot: 0,
+            cursor: HeapCursor::new(),
         }
     }
 }
@@ -37,44 +36,34 @@ impl Executor for SeqScanExec {
     }
 
     fn open(&mut self) -> Result<()> {
-        self.page = 1;
-        self.slot = 0;
+        self.cursor.rewind();
         Ok(())
     }
 
     fn next(&mut self) -> Result<Option<Tuple>> {
-        match self.heap.next_from(self.page, self.slot)? {
-            Some((rid, bytes)) => {
-                self.page = rid.page.0;
-                self.slot = rid.slot.0 + 1;
-                Ok(Some(codec::decode(&self.schema, &bytes)?))
-            }
+        match self.cursor.next(&self.heap)? {
+            Some((_, rec)) => Ok(Some(codec::decode(&self.schema, rec)?)),
             None => Ok(None),
         }
     }
 
     /// Vectorized scan: one heap page per batch (capped at `max`). A
     /// page boundary ends the batch so each `next_batch` touches one
-    /// page's worth of pin/decode work.
+    /// page's worth of decode work.
     fn next_batch(&mut self, max: usize) -> Result<Option<TupleBatch>> {
         let max = max.max(1);
         let mut batch = TupleBatch::with_capacity(Arc::new(self.schema.clone()), max);
-        let mut page_anchor: Option<u32> = None;
-        while batch.len() < max {
-            match self.heap.next_from(self.page, self.slot)? {
-                Some((rid, bytes)) => {
-                    match page_anchor {
-                        None => page_anchor = Some(rid.page.0),
-                        // Don't advance the cursor: the row on the new
-                        // page opens the next batch.
-                        Some(p) if rid.page.0 != p => break,
-                        Some(_) => {}
-                    }
-                    self.page = rid.page.0;
-                    self.slot = rid.slot.0 + 1;
-                    batch.push(codec::decode(&self.schema, &bytes)?);
+        loop {
+            while batch.len() < max {
+                match self.cursor.next_on_page() {
+                    Some((_, rec)) => batch.push(codec::decode(&self.schema, rec)?),
+                    None => break,
                 }
-                None => break,
+            }
+            // An exhausted page with nothing taken from it opens the next
+            // one; rows in hand end the batch at the page boundary.
+            if !batch.is_empty() || !self.cursor.next_page(&self.heap)? {
+                break;
             }
         }
         Ok(if batch.is_empty() { None } else { Some(batch) })

@@ -13,6 +13,16 @@
 //! each pump registration; ownership drives `ReqPump::release` so results
 //! are freed exactly once even when copies proliferate references.
 //!
+//! # Completion delivery
+//!
+//! The operator subscribes one pump [`Inbox`] and watches each call once,
+//! when the first tuple carrying it is admitted (watches are flushed in
+//! one pump-lock acquisition just before the operator next drains or
+//! blocks). The pump pushes each watched call into the inbox as it
+//! completes, or at once if it already has. Draining takes only the
+//! calls that completed: per wakeup the cost is O(completions), not
+//! O(pending calls).
+//!
 //! # Admission control (backpressure)
 //!
 //! With a buffer cap configured (`QueryOptions::reqsync_cap` /
@@ -20,24 +30,22 @@
 //! buffering without bound: once `buffered` holds `cap` incomplete
 //! tuples it stops pulling from its child (the AEVScan side registers no
 //! new calls while un-pulled) and drains completions — blocking on
-//! [`ReqPump::wait_any`] between drains — until occupancy falls to the
-//! low-water mark (`cap / 2`), then resumes. The handshake reuses the
-//! pump's targeted-wakeup protocol unchanged: `wait_any` re-checks the
-//! result store under the pump's state lock before sleeping, so a
-//! completion that lands between a drain and the sleep can never be
-//! lost, and the stalled thread holds no locks while it waits. Stalls
-//! surface as `Stalled`/`Resumed` trace events, the
-//! `wsq_reqsync_stalls_total` counter and the `wsq_reqsync_stall_seconds`
-//! histogram.
+//! [`Inbox::wait_drain`] between drains — until occupancy falls to the
+//! low-water mark (`cap / 2`), then resumes. A completion that lands
+//! between a drain and the sleep is already in the inbox, so the sleep
+//! returns at once; nothing can be lost, and the stalled thread holds no
+//! locks while it waits. Stalls surface as `Stalled`/`Resumed` trace
+//! events, the `wsq_reqsync_stalls_total` counter and the
+//! `wsq_reqsync_stall_seconds` histogram.
 
 use super::Executor;
 use crate::plan::BufferMode;
-use std::collections::{HashMap, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use wsq_common::{CallId, PendingCol, Result, Schema, Tuple, TupleBatch, Value};
 use wsq_obs::{EventKind, Obs};
-use wsq_pump::{ReqPump, SearchResult};
+use wsq_pump::{Delivery, Inbox, ReqPump, SearchResult};
 
 struct BufTuple {
     tuple: Tuple,
@@ -63,6 +71,13 @@ pub struct ReqSyncExec {
     /// an id listed here always resolves in `buffered` (asserted in
     /// debug builds), and the map is empty whenever the buffer is.
     index: HashMap<CallId, Vec<u64>>,
+    /// Where the pump delivers the calls this operator watches.
+    inbox: Inbox,
+    /// Calls watched and not yet drained from the inbox (each call is
+    /// watched once, however many tuples carry it).
+    watched: HashSet<CallId>,
+    /// Calls admitted but not yet passed to `Inbox::watch`.
+    unwatched: Vec<CallId>,
     /// Admission-control cap on `buffered` (`None` = unbounded).
     cap: Option<usize>,
     /// Executor batch size for the Full-mode fill (1 = pull the child
@@ -90,6 +105,7 @@ impl ReqSyncExec {
     ) -> Self {
         let schema = child.schema().clone();
         let obs = pump.obs().clone();
+        let inbox = pump.subscribe();
         ReqSyncExec {
             child,
             pump,
@@ -99,6 +115,9 @@ impl ReqSyncExec {
             ready: VecDeque::new(),
             buffered: HashMap::new(),
             index: HashMap::new(),
+            inbox,
+            watched: HashSet::new(),
+            unwatched: Vec::new(),
             cap: cap.map(|c| c.max(1)),
             batch_size: 1,
             next_id: 0,
@@ -126,9 +145,9 @@ impl ReqSyncExec {
     /// drains — until occupancy falls to the low-water mark (`cap / 2`).
     ///
     /// The loop can only run while `buffered` is non-empty, and every
-    /// buffered tuple keeps at least one pending call indexed, so
-    /// `wait_any` always has a non-empty call set: the stall cannot
-    /// deadlock, even at `cap == 1` (admit one → wait for its call →
+    /// buffered tuple keeps at least one pending call indexed and
+    /// watched, so the inbox always has a delivery coming: the stall
+    /// cannot deadlock, even at `cap == 1` (admit one → wait for its call →
     /// drain → resume). §4.3 case-3 copy multiplication may transiently
     /// overshoot the cap during a drain; the loop converges because the
     /// query's call set is finite and copies register nothing new.
@@ -158,12 +177,14 @@ impl ReqSyncExec {
             if self.buffered.len() <= low_water {
                 break;
             }
-            let pending = self.pending_calls();
-            debug_assert!(!pending.is_empty(), "buffered tuples with no pending call");
-            if pending.is_empty() {
+            debug_assert!(
+                !self.index.is_empty(),
+                "buffered tuples with no pending call"
+            );
+            if self.index.is_empty() {
                 break;
             }
-            self.pump.wait_any(&pending)?;
+            self.await_completions()?;
         }
         if let Some(m) = self.obs.metrics() {
             m.stall_duration.observe(stalled_at.elapsed());
@@ -184,6 +205,9 @@ impl ReqSyncExec {
         self.next_id += 1;
         for &c in &calls {
             self.index.entry(c).or_default().push(id);
+            if self.watched.insert(c) {
+                self.unwatched.push(c);
+            }
         }
         if let Some(m) = self.obs.metrics() {
             m.reqsync_buffered.add(1);
@@ -352,6 +376,9 @@ impl ReqSyncExec {
         let id = self.next_id;
         self.next_id += 1;
         for c in tuple.pending_calls() {
+            // A copy only carries calls its original was admitted with,
+            // all of them watched and not yet delivered.
+            debug_assert!(self.watched.contains(&c), "readmitted {c:?} is unwatched");
             self.index.entry(c).or_default().push(id);
         }
         if let Some(m) = self.obs.metrics() {
@@ -367,27 +394,52 @@ impl ReqSyncExec {
         );
     }
 
-    /// Opportunistically patch any already-completed pending calls.
-    ///
-    /// One [`ReqPump::take_completed`] round gathers every finished call
-    /// in a single pump-lock acquisition (the old shape peeked — and
-    /// locked — once per pending call per round). The loop re-runs
-    /// because patching can readmit tuples that wait on other calls
-    /// which finished in the meantime.
+    /// Pass every newly admitted call to the inbox in one pump-lock
+    /// acquisition.
+    fn flush_watches(&mut self) -> Result<()> {
+        if self.unwatched.is_empty() {
+            return Ok(());
+        }
+        let calls = std::mem::take(&mut self.unwatched);
+        self.inbox.watch(&calls)
+    }
+
+    /// Patch with every delivered completion.
+    fn patch_all(&mut self, done: Vec<Delivery>) -> Result<()> {
+        for (cid, outcome) in done {
+            self.watched.remove(&cid);
+            self.patch_with(cid, &outcome)?;
+        }
+        Ok(())
+    }
+
+    /// Opportunistically patch every call completed so far, without
+    /// blocking. Repeats while deliveries keep arriving during patching.
     fn drain_completions(&mut self) -> Result<()> {
+        self.flush_watches()?;
         loop {
-            let pending = self.pending_calls();
-            if pending.is_empty() {
-                return Ok(());
-            }
-            let done = self.pump.take_completed(&pending);
+            let done = self.inbox.try_drain();
             if done.is_empty() {
                 return Ok(());
             }
-            for (cid, outcome) in done {
-                self.patch_with(cid, &outcome)?;
-            }
+            self.patch_all(done)?;
         }
+    }
+
+    /// Block until at least one watched call completes, then patch with
+    /// everything delivered. Callers only block with calls pending.
+    fn await_completions(&mut self) -> Result<()> {
+        self.flush_watches()?;
+        let done = self.inbox.wait_drain()?;
+        self.patch_all(done)
+    }
+
+    /// Drop every watch and undelivered completion (the buffer they
+    /// served is gone).
+    fn reset_watches(&mut self) {
+        self.inbox.reset();
+        self.watched.clear();
+        self.unwatched.clear();
     }
 
     /// Calls we are still waiting on.
@@ -475,6 +527,7 @@ impl Executor for ReqSyncExec {
         }
         self.buffered.clear();
         self.index.clear();
+        self.reset_watches();
         self.child_done = false;
         self.opened = true;
         self.child.open()?;
@@ -553,21 +606,16 @@ impl Executor for ReqSyncExec {
             }
             self.assert_compact();
             // Block until something finishes, then absorb the whole burst
-            // of completions — not just the one call wait_any reported —
-            // in a single batched drain.
-            let pending = self.pending_calls();
-            self.pump.wait_any(&pending)?;
-            for (cid, outcome) in self.pump.take_completed(&pending) {
-                self.patch_with(cid, &outcome)?;
-            }
+            // of completions the inbox holds.
+            self.await_completions()?;
         }
     }
 
     /// Batched synchronization (DESIGN.md §14): pull whole child batches
     /// (sized to the remaining buffer room under the cap), admit them,
-    /// and patch every completed placeholder from single
-    /// `take_completed` drains into the buffer in one pass. Rows ready
-    /// for emission leave as one [`TupleBatch`]. The stall/resume
+    /// and patch every completed placeholder from single inbox drains
+    /// into the buffer in one pass. Rows ready for emission leave as one
+    /// [`TupleBatch`]. The stall/resume
     /// handshake is preserved batch-wise: at the cap the operator emits
     /// what it holds, or — empty-handed — stalls to the low-water mark
     /// exactly as the tuple path does.
@@ -631,11 +679,7 @@ impl Executor for ReqSyncExec {
                 return self.emit_batch(out);
             }
             self.assert_compact();
-            let pending = self.pending_calls();
-            self.pump.wait_any(&pending)?;
-            for (cid, outcome) in self.pump.take_completed(&pending) {
-                self.patch_with(cid, &outcome)?;
-            }
+            self.await_completions()?;
         }
     }
 
@@ -645,6 +689,7 @@ impl Executor for ReqSyncExec {
         if let Some(m) = self.obs.metrics() {
             m.reqsync_buffered.add(-(self.buffered.len() as i64));
         }
+        self.reset_watches();
         for (_, entry) in self.buffered.drain() {
             for c in entry.owns {
                 self.pump.release(c);

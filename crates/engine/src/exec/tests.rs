@@ -332,6 +332,7 @@ fn reqsync_generation_cancellation_and_fill() {
             assert!(!t.is_incomplete());
         }
         assert_eq!(p.live_calls(), 0, "{mode:?}");
+        assert_eq!(p.live_watchers(), 0, "{mode:?}");
     }
 }
 
@@ -364,6 +365,7 @@ fn reqsync_copies_propagate_other_pending_calls() {
         assert!(!t.is_incomplete());
     }
     assert_eq!(p.live_calls(), 0);
+    assert_eq!(p.live_watchers(), 0);
 }
 
 #[test]
@@ -427,6 +429,7 @@ fn reqsync_error_path_compacts_every_waiting_tuple() {
         "error path left buffer slots occupied"
     );
     assert_eq!(p.live_calls(), 0, "error path leaked pump registrations");
+    assert_eq!(p.live_watchers(), 0, "error path leaked inbox watches");
     sync.close().unwrap();
 }
 
@@ -483,4 +486,109 @@ fn aevscan_rejects_pending_bindings() {
     scan.open().unwrap();
     let err = scan.next().unwrap_err();
     assert!(err.to_string().contains("placeholder"));
+}
+
+/// A heap of 300 `(id, pad)` rows, ~35 to a page, with tombstones: every
+/// 7th row, the first and last row of page 2, every row of page 4 (a
+/// fully deleted page) and the heap's last row. Returns the heap, its
+/// schema, and the row-at-a-time reference — every live rid fetched
+/// with `HeapFile::get`, in rid order — paired with each row's page.
+fn scan_fixture() -> (Arc<wsq_storage::HeapFile>, Schema, Vec<(u32, Tuple)>) {
+    use wsq_storage::{codec, BufferPool, HeapFile, MemStorage, PageId, Rid};
+    let schema = Schema::new(vec![
+        Column::new("id", DataType::Int),
+        Column::new("pad", DataType::Varchar),
+    ]);
+    // A pool smaller than the heap, so the scan evicts as it goes.
+    let pool = Arc::new(BufferPool::new(4));
+    let file = pool.register_file(Box::new(MemStorage::new()));
+    let heap = Arc::new(HeapFile::create(pool.clone(), file).unwrap());
+    let rids: Vec<Rid> = (0..300i64)
+        .map(|i| {
+            let t = Tuple::new(vec![Value::Int(i), Value::from("x".repeat(100).as_str())]);
+            heap.insert(&codec::encode(&schema, &t).unwrap()).unwrap()
+        })
+        .collect();
+    let on_page = |p: u32| -> Vec<Rid> {
+        rids.iter()
+            .copied()
+            .filter(|r| r.page == PageId(p))
+            .collect()
+    };
+    let mut doomed: Vec<Rid> = rids.iter().copied().step_by(7).collect();
+    let page2 = on_page(2);
+    doomed.extend([page2[0], page2[page2.len() - 1]]);
+    doomed.extend(on_page(4));
+    doomed.push(rids[299]);
+    doomed.sort();
+    doomed.dedup();
+    for rid in doomed {
+        heap.delete(rid).unwrap();
+    }
+    let pages = pool.num_pages(file).unwrap();
+    assert!(pages > 6, "fixture should span several pages");
+    let mut reference = Vec::new();
+    for page in 1..pages {
+        for slot in 0..u16::MAX {
+            let rid = Rid {
+                page: PageId(page),
+                slot: wsq_storage::slotted::SlotId(slot),
+            };
+            if rids.iter().all(|r| *r != rid) {
+                break;
+            }
+            if let Ok(bytes) = heap.get(rid) {
+                reference.push((page, codec::decode(&schema, &bytes).unwrap()));
+            }
+        }
+    }
+    assert!(
+        reference.iter().all(|(p, _)| *p != 4),
+        "page 4 is fully deleted"
+    );
+    (heap, schema, reference)
+}
+
+#[test]
+fn seq_scan_next_matches_the_row_at_a_time_reference() {
+    let (heap, schema, reference) = scan_fixture();
+    let want: Vec<Tuple> = reference.into_iter().map(|(_, t)| t).collect();
+    let mut scan = SeqScanExec::new(heap, schema);
+    scan.open().unwrap();
+    assert_eq!(collect(&mut scan).unwrap(), want);
+    // Re-opening rewinds.
+    scan.open().unwrap();
+    assert_eq!(collect(&mut scan).unwrap(), want);
+}
+
+#[test]
+fn seq_scan_batches_match_the_reference_and_end_at_page_boundaries() {
+    let (heap, schema, reference) = scan_fixture();
+    for size in [1, 3, 64] {
+        let mut scan = SeqScanExec::new(heap.clone(), schema.clone());
+        scan.open().unwrap();
+        let mut got = Vec::new();
+        while let Some(batch) = scan.next_batch(size).unwrap() {
+            assert!(!batch.is_empty() && batch.len() <= size, "batch of {size}");
+            let first = got.len();
+            got.extend(batch.into_tuples());
+            let pages: Vec<u32> = reference[first..got.len()]
+                .iter()
+                .map(|(p, _)| *p)
+                .collect();
+            assert!(
+                pages.iter().all(|p| *p == pages[0]),
+                "a batch of {size} straddled pages {pages:?}"
+            );
+            // A batch stops short of `size` only where its page ends.
+            if got.len() - first < size {
+                assert!(
+                    reference.get(got.len()).is_none_or(|(p, _)| *p != pages[0]),
+                    "a batch of {size} stopped mid-page"
+                );
+            }
+        }
+        let want: Vec<Tuple> = reference.iter().map(|(_, t)| t.clone()).collect();
+        assert_eq!(got, want, "batch size {size}");
+    }
 }

@@ -28,7 +28,7 @@
 pub mod pump;
 pub mod service;
 
-pub use pump::{DispatchMode, PumpConfig, PumpStats, ReqPump};
+pub use pump::{Delivery, DispatchMode, Inbox, PumpConfig, PumpStats, ReqPump};
 pub use service::{
     blocking_execute, PageHit, RequestKind, SearchRequest, SearchResult, SearchService,
     ServiceReply,

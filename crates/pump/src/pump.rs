@@ -3,15 +3,28 @@
 //!
 //! # Completion delivery
 //!
-//! Completion signalling is *targeted*: each [`ReqPump::wait_any`] caller
-//! registers an interest record for exactly the calls it waits on, and
-//! completion wakes only the waiters interested in the finished call —
-//! there is no broadcast condvar that every consumer re-checks on every
-//! completion. The wakeup carries the completed [`CallId`], so a woken
-//! waiter returns immediately instead of re-scanning its call set under
-//! the pump lock. Statistics are plain atomics, read without locking, and
-//! [`ReqPump::take_completed`] drains any number of finished calls in one
-//! lock acquisition.
+//! Completions reach consumers through an [`Inbox`]. A consumer
+//! subscribes once ([`ReqPump::subscribe`]) and then [`Inbox::watch`]es
+//! each call it needs, typically as the tuple carrying the call is
+//! admitted. Watching records interest under the pump's state lock; if
+//! the call has already completed, its result is pushed into the inbox
+//! right there, under that same lock, so no completion can fall between
+//! "not done yet" and "interest recorded".
+//!
+//! The dispatcher delivers every due reply under one state-lock
+//! acquisition: it stores each result, moves a clone into every inbox
+//! watching the call, and forgets the interest. An inbox is woken only
+//! on its empty → non-empty edge, and only if its owner is asleep, so a
+//! burst of completions costs the consumer one wakeup. The consumer
+//! blocks in [`Inbox::wait_drain`] and takes *only* the calls that
+//! completed, O(completions) per wakeup, never a rescan of everything
+//! it is waiting on. [`ReqPump::wait`] is a one-call inbox.
+//!
+//! Every path that forgets a call (cancellation while queued, the last
+//! release, an orphaned delivery, shutdown, a dropped inbox) drops its
+//! interest too; [`ReqPump::live_watchers`] counts what is left, and
+//! drain checks expect it to read 0. Statistics are plain atomics, read
+//! without locking.
 
 use crate::service::{SearchRequest, SearchResult, SearchService, ServiceReply};
 use parking_lot::{Condvar, Mutex, RwLock};
@@ -124,43 +137,244 @@ impl Counters {
     }
 }
 
-/// What a sleeping waiter is woken with.
-#[derive(Debug, Clone, Copy)]
-enum Wake {
-    /// This call completed (its result is in the store, unless every
-    /// registrant released it first).
-    Done(CallId),
-    /// The pump shut down; stop waiting.
-    Shutdown,
-}
+/// One completed call as an inbox hands it over: the call id and (a clone
+/// of) its result. The result also stays in the pump's store until the
+/// last registrant releases the call.
+pub type Delivery = (CallId, Result<SearchResult>);
 
-/// One blocked `wait_any` caller. The waiter sleeps on its own condvar;
-/// `complete` delivers the finished id directly into `slot`, so the woken
-/// thread never re-scans its call set.
+/// The part of an inbox the pump's interest lists point at.
 #[derive(Default)]
-struct Waiter {
-    slot: Mutex<Option<Wake>>,
+struct InboxCore {
+    slot: Mutex<InboxSlot>,
     cv: Condvar,
 }
 
-impl Waiter {
-    /// Deliver `wake` unless another completion got here first.
-    fn wake(&self, wake: Wake) {
+#[derive(Default)]
+struct InboxSlot {
+    /// Completed calls not yet drained by the owner.
+    ready: Vec<Delivery>,
+    /// Watches recorded in the pump's interest lists and not yet
+    /// delivered or dropped.
+    watching: usize,
+    /// Calls watched since `watching` last read 0: a superset of the
+    /// interest lists that still hold this inbox, so `reset` visits only
+    /// these instead of every list in the pump.
+    watched: Vec<CallId>,
+    /// The owner is blocked in `wait_drain` (only then is a wakeup
+    /// worth a syscall).
+    sleeping: bool,
+    /// The pump shut down; a blocked owner must stop waiting.
+    shutdown: bool,
+}
+
+impl InboxSlot {
+    /// Queue a completion. Returns whether the owner must be woken: true
+    /// only on the empty → non-empty edge of a sleeping owner, so a batch
+    /// of deliveries wakes it once.
+    fn push(&mut self, delivery: Delivery) -> bool {
+        let wake = self.sleeping && self.ready.is_empty();
+        self.ready.push(delivery);
+        if wake {
+            self.sleeping = false;
+        }
+        wake
+    }
+
+    /// With no watch outstanding, no interest list holds this inbox, so
+    /// the watched-call record can start afresh.
+    fn forget_settled(&mut self) {
+        if self.watching == 0 {
+            self.watched.clear();
+        }
+    }
+}
+
+impl InboxCore {
+    /// Deliver a watched call's completion (see [`InboxSlot::push`]).
+    fn deliver(&self, delivery: Delivery) -> bool {
         let mut slot = self.slot.lock();
-        if slot.is_none() {
-            *slot = Some(wake);
+        slot.watching = slot.watching.saturating_sub(1);
+        slot.push(delivery)
+    }
+
+    /// Forget one watch without delivering (the call was cancelled or
+    /// orphaned). Wakes a sleeping owner whose last watch this was, so
+    /// its wait ends instead of hanging.
+    fn unwatch(&self) {
+        let mut slot = self.slot.lock();
+        slot.watching = slot.watching.saturating_sub(1);
+        if slot.watching == 0 && slot.sleeping {
+            slot.sleeping = false;
             self.cv.notify_one();
         }
     }
 
-    fn sleep(&self) -> Wake {
+    /// The pump shut down: wake a sleeping owner for good.
+    fn shut_down(&self) {
         let mut slot = self.slot.lock();
-        loop {
-            if let Some(wake) = *slot {
-                return wake;
-            }
-            self.cv.wait(&mut slot);
+        slot.shutdown = true;
+        slot.watching = 0;
+        slot.watched.clear();
+        slot.sleeping = false;
+        self.cv.notify_one();
+    }
+}
+
+/// Remove `call`'s interest list, delivering a clone of `result` into
+/// each watching inbox. Inboxes that need a wakeup are appended to
+/// `wake`, to be notified once the state lock is dropped.
+fn deliver_interest(
+    st: &mut State,
+    call: CallId,
+    result: &Result<SearchResult>,
+    wake: &mut Vec<Arc<InboxCore>>,
+) {
+    for core in st.interest.remove(&call).unwrap_or_default() {
+        if core.deliver((call, result.clone())) {
+            wake.push(core);
         }
+    }
+}
+
+/// Remove `call`'s interest list without delivering: the pump is
+/// forgetting the call.
+fn drop_interest(st: &mut State, call: CallId) {
+    for core in st.interest.remove(&call).unwrap_or_default() {
+        core.unwatch();
+    }
+}
+
+/// Notify inboxes collected by [`deliver_interest`], outside the state
+/// lock.
+fn wake_all(wake: Vec<Arc<InboxCore>>) {
+    for core in wake {
+        core.cv.notify_one();
+    }
+}
+
+/// A consumer's completion inbox (see the module docs).
+///
+/// Watch calls with [`Inbox::watch`]; completed ones arrive exactly once
+/// per watch and are taken with [`Inbox::try_drain`] or
+/// [`Inbox::wait_drain`]. Dropping the inbox, or [`Inbox::reset`], drops
+/// every watch still outstanding.
+pub struct Inbox {
+    shared: Arc<Shared>,
+    core: Arc<InboxCore>,
+}
+
+impl Inbox {
+    /// Watch `calls`: each is delivered into this inbox once it
+    /// completes, or at once if it already has. Watch a call once per
+    /// inbox; a second watch delivers it a second time.
+    ///
+    /// Errors if the pump has shut down or a call is unknown to it
+    /// (released by every registrant, or never registered); calls
+    /// before the failing one stay watched.
+    pub fn watch(&self, calls: &[CallId]) -> Result<()> {
+        let mut st = self.shared.state.lock();
+        let mut outcome = Ok(());
+        let mut done = Vec::new();
+        let mut added = 0;
+        let mut seen = 0;
+        for &call in calls {
+            seen += 1;
+            if let Some(result) = st.results.get(&call) {
+                // Already complete: delivered under the same lock the
+                // dispatcher stores results under, so nothing is lost.
+                done.push((call, result.clone()));
+            } else if st.shutdown {
+                outcome = Err(WsqError::PumpShutdown);
+                break;
+            } else if !st.meta.contains_key(&call) {
+                outcome = Err(WsqError::Exec(format!("watch on unknown call {call}")));
+                break;
+            } else {
+                added += 1;
+                st.interest.entry(call).or_default().push(self.core.clone());
+            }
+        }
+        // Still under the state lock: the dispatcher cannot deliver (and
+        // uncount) a watch recorded above before it is counted here.
+        let wake = {
+            let mut slot = self.core.slot.lock();
+            slot.watching += added;
+            slot.watched.extend_from_slice(&calls[..seen]);
+            let mut wake = false;
+            for d in done {
+                wake |= slot.push(d);
+            }
+            wake
+        };
+        drop(st);
+        if wake {
+            self.core.cv.notify_one();
+        }
+        outcome
+    }
+
+    /// Take every completion delivered so far, without blocking.
+    pub fn try_drain(&self) -> Vec<Delivery> {
+        let mut slot = self.core.slot.lock();
+        slot.forget_settled();
+        std::mem::take(&mut slot.ready)
+    }
+
+    /// Block until at least one watched call has completed, then take
+    /// every completion delivered so far.
+    ///
+    /// Errors with [`WsqError::PumpShutdown`] if the pump shuts down
+    /// first, and with [`WsqError::Exec`] if nothing is delivered and no
+    /// watch is outstanding (every watched call was cancelled), so the
+    /// wait is never unbounded.
+    pub fn wait_drain(&self) -> Result<Vec<Delivery>> {
+        let mut slot = self.core.slot.lock();
+        loop {
+            if !slot.ready.is_empty() {
+                slot.sleeping = false;
+                slot.forget_settled();
+                return Ok(std::mem::take(&mut slot.ready));
+            }
+            if slot.shutdown {
+                return Err(WsqError::PumpShutdown);
+            }
+            if slot.watching == 0 {
+                slot.sleeping = false;
+                return Err(WsqError::Exec(
+                    "inbox wait with no call watched".to_string(),
+                ));
+            }
+            slot.sleeping = true;
+            self.core.cv.wait(&mut slot);
+        }
+    }
+
+    /// Drop every outstanding watch and every undrained delivery, leaving
+    /// the inbox as freshly subscribed.
+    pub fn reset(&self) {
+        if self.core.slot.lock().watching > 0 {
+            let mut st = self.shared.state.lock();
+            let mut slot = self.core.slot.lock();
+            for call in slot.watched.drain(..) {
+                if let Some(list) = st.interest.get_mut(&call) {
+                    list.retain(|c| !Arc::ptr_eq(c, &self.core));
+                    if list.is_empty() {
+                        st.interest.remove(&call);
+                    }
+                }
+            }
+            slot.watching = 0;
+        }
+        // No watch is left, so nothing can be delivered after this.
+        let mut slot = self.core.slot.lock();
+        slot.watched.clear();
+        slot.ready.clear();
+    }
+}
+
+impl Drop for Inbox {
+    fn drop(&mut self) {
+        self.reset();
     }
 }
 
@@ -204,8 +418,8 @@ struct State {
     results: HashMap<CallId, Result<SearchResult>>,
     /// Coalescing index over calls that are still known to the pump.
     index: HashMap<SearchRequest, CallId>,
-    /// Waiters blocked on each not-yet-completed call.
-    interest: HashMap<CallId, Vec<Arc<Waiter>>>,
+    /// Inboxes watching each not-yet-completed call.
+    interest: HashMap<CallId, Vec<Arc<InboxCore>>>,
     /// Racing groups keyed by their virtual group call id.
     races: HashMap<CallId, RaceGroup>,
     /// Member call id → the undecided groups it runs for (one member can
@@ -322,8 +536,7 @@ impl ReqPump {
     pub fn register(&self, req: SearchRequest) -> Result<CallId> {
         let mut st = self.shared.state.lock();
         let cid = self.register_locked(&mut st, req)?;
-        drop(st);
-        self.shared.work_cv.notify_all();
+        self.notify_dispatcher(st);
         Ok(cid)
     }
 
@@ -345,9 +558,20 @@ impl ReqPump {
         for req in reqs {
             ids.push(self.register_locked(&mut st, req)?);
         }
-        drop(st);
-        self.shared.work_cv.notify_all();
+        self.notify_dispatcher(st);
         Ok(ids)
+    }
+
+    /// Drop the state lock and wake the dispatcher for newly queued work,
+    /// unless the global in-flight cap is full: then only a completion
+    /// can free a slot, and the dispatcher that delivers it launches the
+    /// queue itself, so the wakeup would be wasted.
+    fn notify_dispatcher(&self, st: parking_lot::MutexGuard<'_, State>) {
+        let full = st.active_total >= self.shared.config.max_concurrent;
+        drop(st);
+        if !full {
+            self.shared.work_cv.notify_all();
+        }
     }
 
     /// Register a first-result-wins **racing group**: every request in
@@ -359,9 +583,9 @@ impl ReqPump {
     /// member has failed (with the last member's error).
     ///
     /// The group id behaves like any other call for [`ReqPump::wait`],
-    /// [`ReqPump::wait_any`], [`ReqPump::take_completed`], and
-    /// [`ReqPump::release`]; releasing an undecided group cancels all
-    /// members the group still holds references to. A single-request
+    /// [`Inbox::watch`], and [`ReqPump::release`]; releasing an
+    /// undecided group cancels all members the group still holds
+    /// references to. A single-request
     /// race degenerates to [`ReqPump::register`]; an empty one errors.
     pub fn register_race(&self, mut reqs: Vec<SearchRequest>) -> Result<CallId> {
         if reqs.is_empty() {
@@ -372,7 +596,8 @@ impl ReqPump {
         if reqs.len() == 1 {
             return self.register(reqs.swap_remove(0));
         }
-        let (gid, woken) = {
+        let mut wake = Vec::new();
+        let gid = {
             let mut st = self.shared.state.lock();
             if st.shutdown {
                 return Err(WsqError::PumpShutdown);
@@ -384,7 +609,7 @@ impl ReqPump {
             let gid = CallId(st.next_call);
             st.next_call += 1;
             // The group gets a real meta entry (so `live_calls` counts it
-            // and `wait_any`'s unknown-call guard accepts it) under a
+            // and `watch`'s unknown-call guard accepts it) under a
             // synthesized request that can never enter the coalescing
             // index; it is never queued or launched.
             let synth = SearchRequest {
@@ -423,20 +648,17 @@ impl ReqPump {
             }
             // Members that are already complete (coalesced onto finished
             // calls, or fail-fast unknown engines) decide the group now.
-            let mut woken = Vec::new();
             for &m in &members {
                 if st.races.get(&gid).is_none_or(|g| g.decided) {
                     break;
                 }
                 if let Some(r) = st.results.get(&m).cloned() {
-                    woken.extend(race_resolve(&self.shared, &mut st, m, &r));
+                    race_resolve(&self.shared, &mut st, m, &r, &mut wake);
                 }
             }
-            (gid, woken)
+            gid
         };
-        for (g, w) in woken {
-            w.wake(Wake::Done(g));
-        }
+        wake_all(wake);
         self.shared.work_cv.notify_all();
         Ok(gid)
     }
@@ -534,88 +756,24 @@ impl ReqPump {
         self.shared.state.lock().results.get(&call).cloned()
     }
 
-    /// Non-blocking bulk drain: the results of every call in `calls` that
-    /// has completed, gathered under a single lock acquisition. Results
-    /// stay in the store until released, exactly like [`ReqPump::peek`].
-    ///
-    /// This is the batched path `ReqSync` uses to absorb a burst of
-    /// completions: one lock round instead of one `peek` per call.
-    pub fn take_completed(&self, calls: &[CallId]) -> Vec<(CallId, Result<SearchResult>)> {
-        let st = self.shared.state.lock();
-        calls
-            .iter()
-            .filter_map(|c| st.results.get(c).map(|r| (*c, r.clone())))
-            .collect()
-    }
-
-    /// Block until any of `calls` completes; returns the first one found.
-    ///
-    /// This is the signal `ReqSync` blocks on in its `get_next` when no
-    /// completed tuple is available. The sleeping thread is woken only by
-    /// a completion of one of `calls` (or shutdown), and the wakeup
-    /// carries the completed id — no rescan of the call set on wake.
-    ///
-    /// # Backpressure interplay
-    ///
-    /// A capped `ReqSync` (DESIGN.md §11) alternates `take_completed`
-    /// drains with `wait_any` while stalled. That drain-then-sleep shape
-    /// is race-free because interest is registered *under the same state
-    /// lock* that re-checks `results`: a completion landing between the
-    /// drain and this call is found by the fast path at the top, and one
-    /// landing after registration fires the waiter. There is no window
-    /// in which a completion can slip past both — the schedcheck model
-    /// `stall_resume` explores every interleaving of this handshake.
-    pub fn wait_any(&self, calls: &[CallId]) -> Result<CallId> {
-        if calls.is_empty() {
-            return Err(WsqError::Exec("wait_any on empty call set".to_string()));
-        }
-        let waiter = {
-            let mut st = self.shared.state.lock();
-            if let Some(&done) = calls.iter().find(|c| st.results.contains_key(c)) {
-                return Ok(done);
-            }
-            if st.shutdown {
-                return Err(WsqError::PumpShutdown);
-            }
-            // Guard against waiting on ids the pump will never complete.
-            if let Some(&unknown) = calls.iter().find(|c| !st.meta.contains_key(c)) {
-                return Err(WsqError::Exec(format!(
-                    "wait_any on unknown call {unknown}"
-                )));
-            }
-            let waiter = Arc::new(Waiter::default());
-            for &c in calls {
-                st.interest.entry(c).or_default().push(waiter.clone());
-            }
-            waiter
-        };
-        let wake = waiter.sleep();
-        // Deregister from the calls that did not fire.
-        {
-            let mut st = self.shared.state.lock();
-            for &c in calls {
-                if let Some(list) = st.interest.get_mut(&c) {
-                    list.retain(|w| !Arc::ptr_eq(w, &waiter));
-                    if list.is_empty() {
-                        st.interest.remove(&c);
-                    }
-                }
-            }
-        }
-        match wake {
-            Wake::Done(cid) => Ok(cid),
-            Wake::Shutdown => Err(WsqError::PumpShutdown),
+    /// Subscribe a completion inbox (see the module docs). A consumer
+    /// subscribes once and watches each call it needs.
+    pub fn subscribe(&self) -> Inbox {
+        Inbox {
+            shared: self.shared.clone(),
+            core: Arc::new(InboxCore::default()),
         }
     }
 
     /// Block until `call` completes and return (a clone of) its result.
+    /// The result stays in the store until the call is released.
     pub fn wait(&self, call: CallId) -> Result<SearchResult> {
-        let done = self.wait_any(std::slice::from_ref(&call))?;
-        self.peek(done).unwrap_or_else(|| {
-            Err(WsqError::Exec(format!(
-                "call {call} completed but its result was released"
-            )))
-        })
+        let inbox = self.subscribe();
+        inbox.watch(std::slice::from_ref(&call))?;
+        match inbox.wait_drain()?.pop() {
+            Some((_, result)) => result,
+            None => Err(WsqError::Exec(format!("call {call} was never delivered"))),
+        }
     }
 
     /// Release one reference to `call`. When the last reference is
@@ -632,6 +790,19 @@ impl ReqPump {
     /// Number of calls the pump still knows about (for leak tests).
     pub fn live_calls(&self) -> usize {
         self.shared.state.lock().meta.len()
+    }
+
+    /// Number of outstanding watches — (call, inbox) pairs the pump will
+    /// still deliver — for leak tests. Reads 0 once every consumer has
+    /// drained or dropped its inbox.
+    pub fn live_watchers(&self) -> usize {
+        self.shared
+            .state
+            .lock()
+            .interest
+            .values()
+            .map(Vec::len)
+            .sum()
     }
 
     /// Snapshot of statistics. Reads atomics only — never blocks on the
@@ -651,13 +822,13 @@ impl ReqPump {
     /// Stop the dispatcher. Outstanding `wait` calls return
     /// [`WsqError::PumpShutdown`]; queued calls are dropped.
     pub fn shutdown(&self) {
-        let waiters: Vec<Arc<Waiter>> = {
+        let watchers: Vec<Arc<InboxCore>> = {
             let mut st = self.shared.state.lock();
             st.shutdown = true;
             st.interest.drain().flat_map(|(_, w)| w).collect()
         };
-        for w in waiters {
-            w.wake(Wake::Shutdown);
+        for core in watchers {
+            core.shut_down();
         }
         self.shared.work_cv.notify_all();
         // Take the handles out under the lock, then join with the guard
@@ -702,6 +873,7 @@ fn release_locked(shared: &Shared, st: &mut State, call: CallId) {
     if let Some(group) = st.races.remove(&call) {
         st.meta.remove(&call);
         st.results.remove(&call);
+        drop_interest(st, call);
         if !group.decided {
             // Cursor dropped mid-race: cancel every member the group
             // still holds a reference to.
@@ -724,6 +896,7 @@ fn release_locked(shared: &Shared, st: &mut State, call: CallId) {
             if let Some(meta) = st.meta.remove(&call) {
                 st.index.remove(&meta.req);
             }
+            drop_interest(st, call);
             let obs = &shared.config.obs;
             if let Some(m) = obs.metrics() {
                 m.calls_cancelled.inc();
@@ -736,6 +909,7 @@ fn release_locked(shared: &Shared, st: &mut State, call: CallId) {
                 st.index.remove(&meta.req);
             }
             st.results.remove(&call);
+            drop_interest(st, call);
         }
         CallState::InFlight => {
             // Completion handling will notice refs == 0 and clean up.
@@ -748,19 +922,19 @@ fn release_locked(shared: &Shared, st: &mut State, call: CallId) {
 /// group immediately (first result wins); a failure only decides it once
 /// every member has failed. Deciding a group releases the group's
 /// reference on every member — cancelling still-queued losers outright —
-/// and returns the group's interest waiters for the caller to wake
-/// outside the lock.
+/// and delivers the group's result to the inboxes watching it (those to
+/// wake are appended to `wake`).
 fn race_resolve(
     shared: &Shared,
     st: &mut State,
     member: CallId,
     result: &Result<SearchResult>,
-) -> Vec<(CallId, Arc<Waiter>)> {
+    wake: &mut Vec<Arc<InboxCore>>,
+) {
     let Some(gids) = st.race_member.get(&member).cloned() else {
-        return Vec::new();
+        return;
     };
     let obs = &shared.config.obs;
-    let mut woken = Vec::new();
     for gid in gids {
         let members = {
             let Some(group) = st.races.get_mut(&gid) else {
@@ -818,11 +992,11 @@ fn race_resolve(
             }
             release_locked(shared, st, m);
         }
-        for w in st.interest.remove(&gid).unwrap_or_default() {
-            woken.push((gid, w));
+        let group_result = st.results.get(&gid).cloned();
+        if let Some(r) = group_result {
+            deliver_interest(st, gid, &r, wake);
         }
     }
-    woken
 }
 
 /// Per-destination cap lookup.
@@ -832,18 +1006,6 @@ fn dest_cap(config: &PumpConfig, dest: &str) -> usize {
         .get(dest)
         .copied()
         .unwrap_or(config.default_per_destination)
-}
-
-/// Is any queued call launchable under current limits?
-fn has_launchable(st: &State, config: &PumpConfig) -> bool {
-    if st.active_total >= config.max_concurrent {
-        return false;
-    }
-    st.queue.iter().any(|cid| {
-        let dest = &st.meta[cid].req.engine;
-        let used = st.active_per_dest.get(dest).copied().unwrap_or(0);
-        used < dest_cap(config, dest)
-    })
 }
 
 /// Find the first queued call that can launch under current limits.
@@ -884,64 +1046,67 @@ fn pop_launchable(st: &mut State, shared: &Shared) -> Option<CallId> {
     Some(cid)
 }
 
-/// Mark a call complete, store its result, free its capacity, and wake
-/// exactly the waiters interested in it.
-fn complete(shared: &Shared, cid: CallId, result: Result<SearchResult>) {
+/// Mark a call complete under the already-held state lock: store its
+/// result, free its capacity, and deliver it into every inbox watching
+/// it (those to wake are appended to `wake`, for the caller to notify
+/// once the lock is dropped).
+fn complete_locked(
+    shared: &Shared,
+    st: &mut State,
+    cid: CallId,
+    result: Result<SearchResult>,
+    wake: &mut Vec<Arc<InboxCore>>,
+) {
     let obs = &shared.config.obs;
-    let (waiters, race_woken) = {
-        let mut st = shared.state.lock();
-        st.active_total = st.active_total.saturating_sub(1);
-        let mut launched_at = None;
-        let orphaned = match st.meta.get_mut(&cid) {
-            Some(meta) => {
-                meta.state = CallState::Done;
-                launched_at = meta.launched_at;
-                let dest = meta.req.engine.clone();
-                let refs = meta.refs;
-                if let Some(n) = st.active_per_dest.get_mut(&dest) {
-                    *n = n.saturating_sub(1);
-                }
-                refs == 0
+    st.active_total = st.active_total.saturating_sub(1);
+    let mut launched_at = None;
+    let orphaned = match st.meta.get_mut(&cid) {
+        Some(meta) => {
+            meta.state = CallState::Done;
+            launched_at = meta.launched_at;
+            let refs = meta.refs;
+            if let Some(n) = st.active_per_dest.get_mut(&meta.req.engine) {
+                *n = n.saturating_sub(1);
             }
-            None => true,
-        };
-        shared.stats.completed.fetch_add(1, Ordering::Relaxed);
-        if let Some(m) = obs.metrics() {
-            m.in_flight.add(-1);
-            if let Some(t) = launched_at {
-                m.call_latency.observe(t.elapsed());
-            }
-            match &result {
-                Ok(_) => m.calls_completed.inc(),
-                Err(_) => m.calls_failed.inc(),
-            }
+            refs == 0
+        }
+        None => true,
+    };
+    shared.stats.completed.fetch_add(1, Ordering::Relaxed);
+    if let Some(m) = obs.metrics() {
+        m.in_flight.add(-1);
+        if let Some(t) = launched_at {
+            m.call_latency.observe(t.elapsed());
         }
         match &result {
-            Ok(_) => obs.event(cid, EventKind::Completed),
-            Err(e) => obs.event_with(cid, EventKind::Failed, || e.to_string().into()),
+            Ok(_) => m.calls_completed.inc(),
+            Err(_) => m.calls_failed.inc(),
         }
-        if orphaned {
-            // Every registrant released before completion: drop everything.
-            if let Some(meta) = st.meta.remove(&cid) {
-                st.index.remove(&meta.req);
-            }
-        } else {
-            st.results.insert(cid, result.clone());
+    }
+    match &result {
+        Ok(_) => obs.event(cid, EventKind::Completed),
+        Err(e) => obs.event_with(cid, EventKind::Failed, || e.to_string().into()),
+    }
+    if orphaned {
+        // Every registrant released before completion: drop everything,
+        // including any watch nobody will drain. An orphaned member has
+        // no race entries — groups hold a reference, so a raced member
+        // can't be orphaned while any of its groups is undecided.
+        if let Some(meta) = st.meta.remove(&cid) {
+            st.index.remove(&meta.req);
         }
-        // Racing: this member's result may decide groups it runs for
-        // (an orphaned member has no race entries — groups hold a
-        // reference, so a raced member can't be orphaned while any of
-        // its groups is undecided).
-        let race_woken = race_resolve(shared, &mut st, cid, &result);
-        (st.interest.remove(&cid).unwrap_or_default(), race_woken)
-    };
-    for w in waiters {
-        w.wake(Wake::Done(cid));
+        drop_interest(st, cid);
+        return;
     }
-    for (gid, w) in race_woken {
-        w.wake(Wake::Done(gid));
+    deliver_interest(st, cid, &result, wake);
+    if !st.race_member.contains_key(&cid) {
+        st.results.insert(cid, result);
+        return;
     }
-    shared.work_cv.notify_all(); // capacity freed: dispatcher may launch more
+    // Racing: this member's result may decide groups it runs for. The
+    // result is stored first, since deciding a group releases members.
+    st.results.insert(cid, result.clone());
+    race_resolve(shared, st, cid, &result, wake);
 }
 
 /// Deadline-heap entry for the event loop.
@@ -1008,111 +1173,121 @@ fn window_batches(
 
 /// The event-driven dispatcher: launch within limits, hold replies in a
 /// deadline heap, deliver when their simulated latency elapses.
+///
+/// Each round takes the state lock once: it completes every reply whose
+/// deadline has passed (freeing capacity) and pops every call that now
+/// fits under the caps. Services run and inboxes are woken with the lock
+/// released. With nothing to deliver or launch, the loop sleeps until
+/// the next deadline or until a registration brings work.
 fn event_loop(shared: Arc<Shared>) {
     let mut heap: BinaryHeap<Reverse<Pending>> = BinaryHeap::new();
     loop {
-        // Launch phase: drain launchable calls, executing outside the lock.
+        let mut wake = Vec::new();
         let mut launches: Vec<(CallId, SearchRequest)> = Vec::new();
         {
             let mut st = shared.state.lock();
             if st.shutdown {
                 return;
             }
+            let now = Instant::now();
+            while heap.peek().is_some_and(|p| p.0.deadline <= now) {
+                if let Some(Reverse(p)) = heap.pop() {
+                    complete_locked(&shared, &mut st, p.cid, p.result, &mut wake);
+                }
+            }
             while let Some(cid) = pop_launchable(&mut st, &shared) {
                 let req = st.meta[&cid].req.clone();
                 launches.push((cid, req));
             }
-        }
-        let now = Instant::now();
-        for batch in window_batches(launches, shared.config.submission_window) {
-            if let [(cid, req)] = batch.as_slice() {
-                let (cid, req) = (*cid, req.clone());
-                let service = shared.services.read().get(&req.engine).cloned();
-                let reply = match service {
-                    // `call_scope` lets decorators (retry/flaky/cache) deep
-                    // in the execute stack attribute their trace events to
-                    // `cid`.
-                    Some(svc) => wsq_obs::call_scope(cid, || svc.execute(&req)),
-                    None => ServiceReply {
-                        result: Err(WsqError::Search(format!("unknown engine '{}'", req.engine))),
-                        latency: Duration::ZERO,
-                    },
-                };
-                heap.push(Reverse(Pending {
-                    deadline: now + reply.latency,
-                    cid,
-                    result: reply.result,
-                }));
+            if launches.is_empty() && wake.is_empty() {
+                match heap.peek() {
+                    Some(Reverse(p)) => {
+                        let deadline = p.deadline;
+                        let _ = shared.work_cv.wait_until(&mut st, deadline);
+                    }
+                    None => shared.work_cv.wait(&mut st),
+                }
                 continue;
             }
-            // Windowed dispatch: one `execute_batch` handoff for the whole
-            // destination window, still outside the state lock. Each reply
-            // keeps its own simulated latency, so delivery times are
-            // identical to per-request dispatch. Per-call trace attribution
-            // (`call_scope`) is unavailable inside a batch — decorator
-            // events like `Retried` are only recorded on the per-request
-            // path.
-            let engine = batch[0].1.engine.clone();
-            let service = shared.services.read().get(&engine).cloned();
-            let reqs: Vec<SearchRequest> = batch.iter().map(|(_, r)| r.clone()).collect();
-            let mut replies = match service {
-                Some(svc) => svc.execute_batch(&reqs),
-                None => Vec::new(),
-            };
-            // Defensive: a misbehaving service must not strand calls.
-            while replies.len() < batch.len() {
-                replies.push(ServiceReply {
-                    result: Err(WsqError::Search(format!(
-                        "engine '{engine}' returned too few batch replies"
-                    ))),
-                    latency: Duration::ZERO,
-                });
-            }
-            replies.truncate(batch.len());
-            shared.stats.batches.fetch_add(1, Ordering::Relaxed);
-            let obs = &shared.config.obs;
-            if let Some(m) = obs.metrics() {
-                // Convention: batch sizes are recorded as "milliseconds"
-                // (a window of n requests observes n ms) so the fixed
-                // latency bucket ladder doubles as a size ladder.
-                m.batch_size
-                    .observe(Duration::from_millis(batch.len() as u64));
-            }
-            for ((cid, _), reply) in batch.into_iter().zip(replies) {
-                obs.event(cid, EventKind::BatchLaunched);
-                heap.push(Reverse(Pending {
-                    deadline: now + reply.latency,
-                    cid,
-                    result: reply.result,
-                }));
-            }
         }
+        wake_all(wake);
+        dispatch(&shared, launches, &mut heap);
+    }
+}
 
-        // Delivery phase: complete everything whose deadline has passed.
-        let now = Instant::now();
-        while heap.peek().is_some_and(|p| p.0.deadline <= now) {
-            if let Some(Reverse(p)) = heap.pop() {
-                complete(&shared, p.cid, p.result);
-            }
+/// Run launched calls' services (outside the state lock) and queue each
+/// reply in the deadline heap at launch time + its declared latency.
+fn dispatch(
+    shared: &Shared,
+    launches: Vec<(CallId, SearchRequest)>,
+    heap: &mut BinaryHeap<Reverse<Pending>>,
+) {
+    let now = Instant::now();
+    for batch in window_batches(launches, shared.config.submission_window) {
+        if let [(cid, req)] = batch.as_slice() {
+            heap.push(Reverse(execute_one(shared, *cid, req, now)));
+            continue;
         }
+        // Windowed dispatch: one `execute_batch` handoff for the whole
+        // destination window, still outside the state lock. Each reply
+        // keeps its own simulated latency, so delivery times are
+        // identical to per-request dispatch. Per-call trace attribution
+        // (`call_scope`) is unavailable inside a batch — decorator
+        // events like `Retried` are only recorded on the per-request
+        // path.
+        let engine = batch[0].1.engine.clone();
+        let service = shared.services.read().get(&engine).cloned();
+        let reqs: Vec<SearchRequest> = batch.iter().map(|(_, r)| r.clone()).collect();
+        let mut replies = match service {
+            Some(svc) => svc.execute_batch(&reqs),
+            None => Vec::new(),
+        };
+        // Defensive: a misbehaving service must not strand calls.
+        while replies.len() < batch.len() {
+            replies.push(ServiceReply {
+                result: Err(WsqError::Search(format!(
+                    "engine '{engine}' returned too few batch replies"
+                ))),
+                latency: Duration::ZERO,
+            });
+        }
+        replies.truncate(batch.len());
+        shared.stats.batches.fetch_add(1, Ordering::Relaxed);
+        let obs = &shared.config.obs;
+        if let Some(m) = obs.metrics() {
+            // Convention: batch sizes are recorded as "milliseconds"
+            // (a window of n requests observes n ms) so the fixed
+            // latency bucket ladder doubles as a size ladder.
+            m.batch_size
+                .observe(Duration::from_millis(batch.len() as u64));
+        }
+        for ((cid, _), reply) in batch.into_iter().zip(replies) {
+            obs.event(cid, EventKind::BatchLaunched);
+            heap.push(Reverse(Pending {
+                deadline: now + reply.latency,
+                cid,
+                result: reply.result,
+            }));
+        }
+    }
+}
 
-        // Wait phase: sleep until the next deadline or new work arrives.
-        let mut st = shared.state.lock();
-        if st.shutdown {
-            return;
-        }
-        if has_launchable(&st, &shared.config) {
-            continue; // go launch it
-        }
-        match heap.peek() {
-            Some(Reverse(p)) => {
-                let deadline = p.deadline;
-                let _ = shared.work_cv.wait_until(&mut st, deadline);
-            }
-            None => {
-                shared.work_cv.wait(&mut st);
-            }
-        }
+/// Per-request dispatch of one launched call.
+fn execute_one(shared: &Shared, cid: CallId, req: &SearchRequest, now: Instant) -> Pending {
+    let service = shared.services.read().get(&req.engine).cloned();
+    let reply = match service {
+        // `call_scope` lets decorators (retry/flaky/cache) deep in the
+        // execute stack attribute their trace events to `cid`.
+        Some(svc) => wsq_obs::call_scope(cid, || svc.execute(req)),
+        None => ServiceReply {
+            result: Err(WsqError::Search(format!("unknown engine '{}'", req.engine))),
+            latency: Duration::ZERO,
+        },
+    };
+    Pending {
+        deadline: now + reply.latency,
+        cid,
+        result: reply.result,
     }
 }
 
@@ -1133,18 +1308,21 @@ fn worker_loop(shared: Arc<Shared>) {
                 shared.work_cv.wait(&mut st);
             }
         };
-        let service = shared.services.read().get(&req.engine).cloned();
-        let reply = match service {
-            Some(svc) => wsq_obs::call_scope(cid, || svc.execute(&req)),
-            None => ServiceReply {
-                result: Err(WsqError::Search(format!("unknown engine '{}'", req.engine))),
-                latency: Duration::ZERO,
-            },
-        };
-        if !reply.latency.is_zero() {
-            std::thread::sleep(reply.latency);
+        let reply = execute_one(&shared, cid, &req, Instant::now());
+        let left = reply.deadline.saturating_duration_since(Instant::now());
+        if !left.is_zero() {
+            std::thread::sleep(left);
         }
-        complete(&shared, cid, reply.result);
+        let mut wake = Vec::new();
+        complete_locked(
+            &shared,
+            &mut shared.state.lock(),
+            cid,
+            reply.result,
+            &mut wake,
+        );
+        wake_all(wake);
+        shared.work_cv.notify_all(); // capacity freed: other workers may launch
     }
 }
 
@@ -1226,24 +1404,26 @@ mod tests {
     #[test]
     fn capped_consumer_drain_loop_never_hangs_or_drops() {
         // The shape a capped ReqSync runs while stalled (DESIGN.md §11):
-        // admit one call at a time (cap = 1), then drain-and-wait until
-        // it completes before admitting the next. If wait_any could miss
-        // a completion that lands between the take_completed drain and
-        // the sleep, this loop would hang; if the drain could double-
-        // deliver, the count would overshoot.
+        // admit one call at a time (cap = 1), watch it, then drain and
+        // wait until it completes before admitting the next. If the
+        // watch could miss a completion that landed just before it, this
+        // loop would hang; if delivery could repeat, the count would
+        // overshoot.
         let pump = ReqPump::with_service("AV", Probe::new(Duration::from_millis(2)));
+        let inbox = pump.subscribe();
         let mut delivered = 0usize;
         for i in 0..32 {
             let cid = pump.register(req("AV", &format!("q{i:02}"))).unwrap();
+            inbox.watch(&[cid]).unwrap();
             let mut pending = vec![cid];
             while !pending.is_empty() {
-                let done = pump.take_completed(&pending);
+                let mut done = inbox.try_drain();
                 if done.is_empty() {
-                    pump.wait_any(&pending).unwrap();
-                    continue;
+                    done = inbox.wait_drain().unwrap();
                 }
                 for (c, outcome) in done {
                     outcome.unwrap();
+                    assert!(pending.contains(&c), "call {c} delivered twice");
                     pending.retain(|p| *p != c);
                     pump.release(c);
                     delivered += 1;
@@ -1252,6 +1432,7 @@ mod tests {
         }
         assert_eq!(delivered, 32);
         assert_eq!(pump.live_calls(), 0);
+        assert_eq!(pump.live_watchers(), 0);
     }
 
     #[test]
@@ -1346,21 +1527,30 @@ mod tests {
     }
 
     #[test]
-    fn wait_any_returns_a_completed_call() {
+    fn inbox_delivers_each_watched_call_once() {
         let pump = ReqPump::with_service("AV", Probe::new(Duration::from_millis(5)));
         let slow = pump.register(req("AV", "slow-call")).unwrap();
         let fast = pump.register(req("AV", "f")).unwrap();
-        let done = pump.wait_any(&[slow, fast]).unwrap();
-        assert!(done == slow || done == fast);
-        pump.wait(slow).unwrap();
-        pump.wait(fast).unwrap();
+        let inbox = pump.subscribe();
+        inbox.watch(&[slow, fast]).unwrap();
+        let mut seen = Vec::new();
+        while seen.len() < 2 {
+            for (cid, result) in inbox.wait_drain().unwrap() {
+                assert!(result.is_ok());
+                seen.push(cid);
+            }
+        }
+        seen.sort();
+        assert_eq!(seen, vec![slow, fast]);
+        assert!(inbox.try_drain().is_empty(), "a call was delivered twice");
+        assert_eq!(pump.live_watchers(), 0);
     }
 
     #[test]
-    fn wait_any_wakeup_carries_the_completed_id() {
+    fn inbox_wakeup_carries_only_what_completed() {
         // One destination is serialized and slow, the other fast: the
-        // wakeup must deliver the fast call's id even though the slow call
-        // is listed first.
+        // first wakeup must hand over the fast call alone, even though
+        // the slow call was watched first.
         let mut per = HashMap::new();
         per.insert("AV".to_string(), 1);
         let config = PumpConfig {
@@ -1372,29 +1562,41 @@ mod tests {
         pump.register_service("Google", Probe::new(Duration::from_millis(5)));
         let slow = pump.register(req("AV", "slow")).unwrap();
         let fast = pump.register(req("Google", "fast")).unwrap();
-        let done = pump.wait_any(&[slow, fast]).unwrap();
-        assert_eq!(done, fast);
-        pump.wait(slow).unwrap();
+        let inbox = pump.subscribe();
+        inbox.watch(&[slow, fast]).unwrap();
+        let first = inbox.wait_drain().unwrap();
+        assert_eq!(first.len(), 1);
+        assert_eq!(first[0].0, fast);
+        assert_eq!(inbox.wait_drain().unwrap()[0].0, slow);
     }
 
     #[test]
-    fn wait_any_on_unknown_call_errors() {
+    fn watch_on_unknown_call_errors_and_an_empty_inbox_never_blocks() {
         let pump = ReqPump::with_service("AV", Probe::new(Duration::ZERO));
-        let err = pump.wait_any(&[CallId(999)]).unwrap_err();
+        let inbox = pump.subscribe();
+        let err = inbox.watch(&[CallId(999)]).unwrap_err();
         assert!(matches!(err, WsqError::Exec(_)));
-        assert!(pump.wait_any(&[]).is_err());
+        // Nothing watched, nothing delivered: the wait errors at once.
+        assert!(matches!(inbox.wait_drain(), Err(WsqError::Exec(_))));
+        inbox.watch(&[]).unwrap();
+        assert_eq!(pump.live_watchers(), 0);
     }
 
     #[test]
-    fn take_completed_drains_in_one_pass() {
-        let pump = ReqPump::with_service("AV", Probe::new(Duration::from_millis(5)));
+    fn watch_after_completion_is_delivered_at_once() {
+        let pump = ReqPump::with_service("AV", Probe::new(Duration::from_millis(2)));
         let ids: Vec<CallId> = (0..6)
             .map(|i| pump.register(req("AV", &format!("tc{i}"))).unwrap())
             .collect();
         for &cid in &ids {
             pump.wait(cid).unwrap();
         }
-        let done = pump.take_completed(&ids);
+        // Every call finished before the watch: all six are in the inbox
+        // when `watch` returns, and nothing is left registered.
+        let inbox = pump.subscribe();
+        inbox.watch(&ids).unwrap();
+        assert_eq!(pump.live_watchers(), 0);
+        let done = inbox.try_drain();
         assert_eq!(done.len(), ids.len());
         for (cid, result) in &done {
             assert!(ids.contains(cid));
@@ -1405,7 +1607,114 @@ mod tests {
         for &cid in &ids {
             pump.release(cid);
         }
-        assert!(pump.take_completed(&ids).is_empty());
+        assert_eq!(pump.live_calls(), 0);
+    }
+
+    #[test]
+    fn coalesced_call_watched_by_two_inboxes_reaches_each_once() {
+        let pump = ReqPump::with_service("AV", Probe::new(Duration::from_millis(10)));
+        let a = pump.register(req("AV", "shared")).unwrap();
+        let b = pump.register(req("AV", "shared")).unwrap();
+        assert_eq!(a, b);
+        let (x, y) = (pump.subscribe(), pump.subscribe());
+        x.watch(&[a]).unwrap();
+        y.watch(&[b]).unwrap();
+        assert_eq!(pump.live_watchers(), 2);
+        for inbox in [&x, &y] {
+            let got = inbox.wait_drain().unwrap();
+            assert_eq!(got.len(), 1);
+            assert_eq!(got[0].0, a);
+            assert_eq!(got[0].1.as_ref().unwrap().count(), Some(6));
+            assert!(inbox.try_drain().is_empty());
+        }
+        pump.release(a);
+        pump.release(b);
+        assert_eq!(pump.live_calls(), 0);
+        assert_eq!(pump.live_watchers(), 0);
+    }
+
+    #[test]
+    fn forgetting_a_call_drops_its_watchers() {
+        // Cap concurrency at 1 so the second call stays queued.
+        let config = PumpConfig {
+            max_concurrent: 1,
+            ..PumpConfig::default()
+        };
+        let pump = ReqPump::new(config);
+        pump.register_service("AV", Probe::new(Duration::from_millis(40)));
+        let first = pump.register(req("AV", "first")).unwrap();
+        let queued = pump.register(req("AV", "queued")).unwrap();
+        let inbox = pump.subscribe();
+        inbox.watch(&[first, queued]).unwrap();
+        assert_eq!(pump.live_watchers(), 2);
+        // Cancelling the queued call forgets it, watch included.
+        pump.release(queued);
+        assert_eq!(pump.live_watchers(), 1);
+        // Releasing the in-flight call orphans it; its delivery drops
+        // the last watch instead of handing over a released result, and
+        // the wait ends rather than hanging.
+        pump.release(first);
+        assert!(matches!(inbox.wait_drain(), Err(WsqError::Exec(_))));
+        assert_eq!(pump.live_watchers(), 0);
+        assert_eq!(pump.live_calls(), 0);
+    }
+
+    #[test]
+    fn dropping_an_inbox_drops_its_watches() {
+        let pump = ReqPump::with_service("AV", Probe::new(Duration::from_millis(30)));
+        let cid = pump.register(req("AV", "abandoned")).unwrap();
+        {
+            let inbox = pump.subscribe();
+            inbox.watch(&[cid]).unwrap();
+            assert_eq!(pump.live_watchers(), 1);
+        }
+        assert_eq!(pump.live_watchers(), 0);
+        pump.wait(cid).unwrap();
+        pump.release(cid);
+        assert_eq!(pump.live_calls(), 0);
+    }
+
+    #[test]
+    fn reset_drops_only_its_own_watches() {
+        let pump = ReqPump::with_service("AV", Probe::new(Duration::from_millis(30)));
+        let a = pump.register(req("AV", "a")).unwrap();
+        let b = pump.register(req("AV", "b")).unwrap();
+        let (mine, other) = (pump.subscribe(), pump.subscribe());
+        mine.watch(&[a, b]).unwrap();
+        other.watch(&[a]).unwrap();
+        assert_eq!(pump.live_watchers(), 3);
+        mine.reset();
+        assert_eq!(pump.live_watchers(), 1);
+        // The other inbox still gets its call; the reset one can watch
+        // afresh.
+        assert_eq!(other.wait_drain().unwrap()[0].0, a);
+        mine.watch(&[b]).unwrap();
+        assert_eq!(mine.wait_drain().unwrap()[0].0, b);
+        assert_eq!(pump.live_watchers(), 0);
+        pump.release(a);
+        pump.release(b);
+        assert_eq!(pump.live_calls(), 0);
+    }
+
+    #[test]
+    fn delivery_is_never_early() {
+        // No reply may be visible before its declared latency has
+        // elapsed, however deliveries are batched.
+        let pump = ReqPump::with_service("AV", Probe::new(Duration::from_millis(25)));
+        let t0 = Instant::now();
+        let ids = pump
+            .register_batch((0..8).map(|i| req("AV", &format!("e{i}"))).collect())
+            .unwrap();
+        let inbox = pump.subscribe();
+        inbox.watch(&ids).unwrap();
+        let mut n = 0;
+        while n < ids.len() {
+            n += inbox.wait_drain().unwrap().len();
+            assert!(t0.elapsed() >= Duration::from_millis(25), "early delivery");
+        }
+        for &cid in &ids {
+            pump.release(cid);
+        }
         assert_eq!(pump.live_calls(), 0);
     }
 
@@ -1753,8 +2062,11 @@ mod tests {
                 let pump = pump.clone();
                 std::thread::spawn(move || {
                     let cid = pump.register(req("AV", &format!("w{i:02}"))).unwrap();
-                    let done = pump.wait_any(&[cid]).unwrap();
-                    assert_eq!(done, cid);
+                    let inbox = pump.subscribe();
+                    inbox.watch(&[cid]).unwrap();
+                    let done = inbox.wait_drain().unwrap();
+                    assert_eq!(done.len(), 1);
+                    assert_eq!(done[0].0, cid);
                     pump.release(cid);
                 })
             })
@@ -1763,6 +2075,7 @@ mod tests {
             h.join().unwrap();
         }
         assert_eq!(pump.live_calls(), 0);
+        assert_eq!(pump.live_watchers(), 0);
         assert_eq!(pump.stats().completed, 16);
     }
 }

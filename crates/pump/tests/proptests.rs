@@ -126,6 +126,7 @@ proptest! {
             std::thread::sleep(Duration::from_millis(1));
         }
         prop_assert_eq!(pump.live_calls(), 0, "pump leaked calls");
+        prop_assert_eq!(pump.live_watchers(), 0, "pump leaked watches");
 
         let stats = pump.stats();
         prop_assert!(stats.peak_in_flight <= 64);
@@ -165,6 +166,7 @@ fn stress_many_concurrent_waiters() {
         h.join().unwrap();
     }
     assert_eq!(pump.live_calls(), 0);
+    assert_eq!(pump.live_watchers(), 0);
     assert!(pump.stats().peak_in_flight <= 4);
     assert_eq!(pump.stats().completed, pump.stats().launched);
 }

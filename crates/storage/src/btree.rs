@@ -3,8 +3,12 @@
 //!
 //! Design notes:
 //!
-//! * **Non-unique**: entries are ordered by `(key, rid)`, so duplicate
-//!   keys are fine and lookups are range scans `[key, key]`.
+//! * **Non-unique**: duplicate keys are fine and lookups are range scans
+//!   `[key, key]`. The tree is ordered on the full `(key, rid)` entry:
+//!   internal separators carry the rid of the entry they were copied
+//!   from, so inserts and deletes descend straight to the one leaf that
+//!   holds (or would hold) an entry, however many leaves its key spans,
+//!   and a key's entries come out of a scan in rid order.
 //! * **Variable-length keys** stored as sequential cells inside each 4 KiB
 //!   node page; inserts shift cell bytes (O(page), which is cheap at this
 //!   page size and keeps the layout simple and robust).
@@ -20,12 +24,13 @@
 //! ```text
 //! header page 0:  [magic u32][root u32]
 //! node page:      [kind u8][nkeys u16][link u32][cell]*
-//!   leaf cell:     [klen u16][key][page u32][slot u16]      (entry → rid)
-//!   internal cell: [klen u16][key][child u32]                (right child)
+//!   leaf cell:     [klen u16][key][page u32][slot u16]               (entry → rid)
+//!   internal cell: [klen u16][key][page u32][slot u16][child u32]   (separator, right child)
 //! ```
 //!
-//! For an internal node, `link` is the leftmost child (subtree with keys
-//! `<` the first cell's key); each cell's child holds keys `>=` its key.
+//! For an internal node, `link` is the leftmost child (subtree with
+//! entries `<` the first cell's `(key, rid)`); each cell's child holds
+//! entries `>=` its `(key, rid)` and `<` the next cell's.
 //! For a leaf, `link` is the next leaf (0 = none; page 0 is the header so
 //! the value is unambiguous).
 
@@ -36,7 +41,10 @@ use crate::slotted::SlotId;
 use std::sync::Arc;
 use wsq_common::{Result, WsqError};
 
-const MAGIC: u32 = 0x5752_4958; // "WRIX"
+const MAGIC: u32 = 0x5752_4959; // "WRIY": separators carry rids
+/// The earlier format, whose separators carried no rid. Its trees could
+/// lose entries of keys spanning leaves, so they are not read.
+const MAGIC_KEY_ONLY: u32 = 0x5752_4958; // "WRIX"
 const KIND_LEAF: u8 = 1;
 const KIND_INTERNAL: u8 = 0;
 const HDR: usize = 7; // kind + nkeys + link
@@ -52,8 +60,10 @@ fn read_u32(d: &[u8], at: usize) -> u32 {
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct Cell {
     key: Vec<u8>,
-    /// Leaf: the rid. Internal: the right child page in `rid.page`.
+    /// Leaf: the entry's rid. Internal: the separator's rid.
     rid: Rid,
+    /// Internal: the right child page. Leaf: unused (0).
+    child: u32,
 }
 
 impl Cell {
@@ -61,7 +71,7 @@ impl Cell {
         2 + self.key.len() + 6
     }
     fn internal_size(&self) -> usize {
-        2 + self.key.len() + 4
+        2 + self.key.len() + 10
     }
 }
 
@@ -86,23 +96,18 @@ impl Node {
             at += 2;
             let key = d[at..at + klen].to_vec();
             at += klen;
-            let rid = if leaf {
-                let page = read_u32(d, at);
-                let slot = read_u16(d, at + 4);
-                at += 6;
-                Rid {
-                    page: PageId(page),
-                    slot: SlotId(slot),
-                }
-            } else {
-                let child = read_u32(d, at);
-                at += 4;
-                Rid {
-                    page: PageId(child),
-                    slot: SlotId(0),
-                }
+            let rid = Rid {
+                page: PageId(read_u32(d, at)),
+                slot: SlotId(read_u16(d, at + 4)),
             };
-            cells.push(Cell { key, rid });
+            at += 6;
+            let child = if leaf {
+                0
+            } else {
+                at += 4;
+                read_u32(d, at - 4)
+            };
+            cells.push(Cell { key, rid, child });
         }
         Node { leaf, link, cells }
     }
@@ -117,12 +122,11 @@ impl Node {
             at += 2;
             d[at..at + c.key.len()].copy_from_slice(&c.key);
             at += c.key.len();
-            if self.leaf {
-                d[at..at + 4].copy_from_slice(&c.rid.page.0.to_le_bytes());
-                d[at + 4..at + 6].copy_from_slice(&c.rid.slot.0.to_le_bytes());
-                at += 6;
-            } else {
-                d[at..at + 4].copy_from_slice(&c.rid.page.0.to_le_bytes());
+            d[at..at + 4].copy_from_slice(&c.rid.page.0.to_le_bytes());
+            d[at + 4..at + 6].copy_from_slice(&c.rid.slot.0.to_le_bytes());
+            at += 6;
+            if !self.leaf {
+                d[at..at + 4].copy_from_slice(&c.child.to_le_bytes());
                 at += 4;
             }
         }
@@ -142,7 +146,8 @@ impl Node {
             .sum::<usize>()
     }
 
-    /// First cell index whose `(key, rid)` is `>=` the probe.
+    /// First cell index whose `(key, rid)` is `>=` the probe; a probe
+    /// without a rid sorts before every entry with its key.
     fn lower_bound(&self, key: &[u8], rid: Option<Rid>) -> usize {
         self.cells
             .partition_point(|c| match c.key.as_slice().cmp(key) {
@@ -153,6 +158,25 @@ impl Node {
                     Some(r) => c.rid < r,
                 },
             })
+    }
+
+    /// Internal node: the index (0 = `link`, i = cell i-1's child) of the
+    /// child whose range holds the probe.
+    fn child_index(&self, key: &[u8], rid: Option<Rid>) -> usize {
+        let idx = self.lower_bound(key, rid);
+        // A separator equal to the probe starts the child to its right.
+        match (self.cells.get(idx), rid) {
+            (Some(c), Some(r)) if c.key == key && c.rid == r => idx + 1,
+            _ => idx,
+        }
+    }
+
+    fn child(&self, idx: usize) -> u32 {
+        if idx == 0 {
+            self.link
+        } else {
+            self.cells[idx - 1].child
+        }
     }
 }
 
@@ -200,6 +224,12 @@ impl BTree {
             return Err(WsqError::Storage("not a btree file".to_string()));
         }
         let magic = pool.with_page(file, PageId(0), |d| read_u32(d, 0))?;
+        if magic == MAGIC_KEY_ONLY {
+            return Err(WsqError::Storage(
+                "index file uses the old key-only separator format; drop and recreate the index"
+                    .to_string(),
+            ));
+        }
         if magic != MAGIC {
             return Err(WsqError::Storage("not a btree file: bad magic".to_string()));
         }
@@ -240,23 +270,10 @@ impl BTree {
                 max_key_len()
             )));
         }
-        // Descend to the target leaf, remembering the path.
-        let mut path: Vec<u32> = Vec::new();
-        let mut page = self.root()?;
-        loop {
-            let node = self.load(page)?;
-            if node.leaf {
-                break;
-            }
-            path.push(page);
-            let idx = node.lower_bound(key, Some(rid));
-            page = if idx == 0 {
-                node.link
-            } else {
-                node.cells[idx - 1].rid.page.0
-            };
-        }
-
+        // Descend to the leaf that holds `(key, rid)`'s place, remembering
+        // each internal page and the child index taken there.
+        let mut path: Vec<(u32, usize)> = Vec::new();
+        let page = self.descend(key, Some(rid), Some(&mut path))?;
         let mut node = self.load(page)?;
         let pos = node.lower_bound(key, Some(rid));
         if node
@@ -271,51 +288,41 @@ impl BTree {
             Cell {
                 key: key.to_vec(),
                 rid,
+                child: 0,
             },
         );
 
-        // Split upward while nodes overflow.
-        let mut split: Option<(Vec<u8>, u32)> = None; // (separator, new right page)
+        // Split upward while nodes overflow. `split_page` is the node the
+        // pending separator came from.
+        let mut split: Option<(Cell, u32)> = None; // (separator, new right page)
         if node.bytes_used() > PAGE_SIZE {
-            split = Some(self.split(page, &mut node)?);
+            split = Some(self.split(&mut node)?);
         }
         self.store(page, &node)?;
+        let mut split_page = page;
 
-        while let Some((sep, right)) = split.take() {
+        while let Some((mut sep, right)) = split.take() {
+            sep.child = right;
             match path.pop() {
-                Some(parent_page) => {
+                Some((parent_page, child_idx)) => {
+                    // The new right sibling goes immediately after the
+                    // child that split.
                     let mut parent = self.load(parent_page)?;
-                    let idx = parent.lower_bound(&sep, None);
-                    parent.cells.insert(
-                        idx,
-                        Cell {
-                            key: sep,
-                            rid: Rid {
-                                page: PageId(right),
-                                slot: SlotId(0),
-                            },
-                        },
-                    );
+                    parent.cells.insert(child_idx, sep);
                     if parent.bytes_used() > PAGE_SIZE {
-                        split = Some(self.split(parent_page, &mut parent)?);
+                        split = Some(self.split(&mut parent)?);
                     }
                     self.store(parent_page, &parent)?;
+                    split_page = parent_page;
                 }
                 None => {
                     // Root split: the old root (leaf or internal) becomes
                     // the leftmost child of a new root.
-                    let old_root = if path.is_empty() { page } else { self.root()? };
                     let new_root_page = self.pool.allocate_page(self.file)?;
                     let new_root = Node {
                         leaf: false,
-                        link: old_root,
-                        cells: vec![Cell {
-                            key: sep,
-                            rid: Rid {
-                                page: PageId(right),
-                                slot: SlotId(0),
-                            },
-                        }],
+                        link: split_page,
+                        cells: vec![sep],
                     };
                     self.store(new_root_page.0, &new_root)?;
                     self.set_root(new_root_page.0)?;
@@ -325,13 +332,16 @@ impl BTree {
         Ok(())
     }
 
-    /// Split `node` (stored at `page`), returning `(separator, right page)`.
-    fn split(&self, page: u32, node: &mut Node) -> Result<(Vec<u8>, u32)> {
+    /// Split `node`, returning `(separator, right page)`; the caller
+    /// points the separator at the right page.
+    fn split(&self, node: &mut Node) -> Result<(Cell, u32)> {
         let mid = node.cells.len() / 2;
         let right_page = self.pool.allocate_page(self.file)?;
         let (sep, right) = if node.leaf {
             let right_cells: Vec<Cell> = node.cells.split_off(mid);
-            let sep = right_cells[0].key.clone();
+            // The separator copies the right half's first entry, rid
+            // included.
+            let sep = right_cells[0].clone();
             let right = Node {
                 leaf: true,
                 link: node.link,
@@ -346,14 +356,37 @@ impl BTree {
             let middle = right_cells.remove(0);
             let right = Node {
                 leaf: false,
-                link: middle.rid.page.0,
+                link: middle.child,
                 cells: right_cells,
             };
-            (middle.key, right)
+            (middle, right)
         };
         self.store(right_page.0, &right)?;
-        let _ = page;
         Ok((sep, right_page.0))
+    }
+
+    /// Descend from the root to the leaf whose range holds `(key, rid)` —
+    /// without a rid, the leftmost leaf that may hold `key` — pushing each
+    /// internal page and the child index taken there onto `path` if one
+    /// is given.
+    fn descend(
+        &self,
+        key: &[u8],
+        rid: Option<Rid>,
+        mut path: Option<&mut Vec<(u32, usize)>>,
+    ) -> Result<u32> {
+        let mut page = self.root()?;
+        loop {
+            let node = self.load(page)?;
+            if node.leaf {
+                return Ok(page);
+            }
+            let idx = node.child_index(key, rid);
+            if let Some(path) = path.as_deref_mut() {
+                path.push((page, idx));
+            }
+            page = node.child(idx);
+        }
     }
 
     /// All rids whose key equals `key`, in rid order.
@@ -370,20 +403,7 @@ impl BTree {
         high: &[u8],
         mut visit: impl FnMut(&[u8], Rid),
     ) -> Result<()> {
-        // Descend to the leaf that could contain `low`.
-        let mut page = self.root()?;
-        loop {
-            let node = self.load(page)?;
-            if node.leaf {
-                break;
-            }
-            let idx = node.lower_bound(low, None);
-            page = if idx == 0 {
-                node.link
-            } else {
-                node.cells[idx - 1].rid.page.0
-            };
-        }
+        let mut page = self.descend(low, None, None)?;
         loop {
             let node = self.load(page)?;
             for c in &node.cells {
@@ -426,32 +446,19 @@ impl BTree {
     /// Remove the entry `(key, rid)`. Returns whether it existed. Lazy:
     /// no rebalancing.
     pub fn delete(&self, key: &[u8], rid: Rid) -> Result<bool> {
-        let mut page = self.root()?;
-        loop {
-            let node = self.load(page)?;
-            if node.leaf {
-                break;
-            }
-            let idx = node.lower_bound(key, Some(rid));
-            page = if idx == 0 {
-                node.link
-            } else {
-                node.cells[idx - 1].rid.page.0
-            };
-        }
+        let page = self.descend(key, Some(rid), None)?;
         let mut node = self.load(page)?;
         let pos = node.lower_bound(key, Some(rid));
-        if node
+        if !node
             .cells
             .get(pos)
             .is_some_and(|c| c.key == key && c.rid == rid)
         {
-            node.cells.remove(pos);
-            self.store(page, &node)?;
-            Ok(true)
-        } else {
-            Ok(false)
+            return Ok(false);
         }
+        node.cells.remove(pos);
+        self.store(page, &node)?;
+        Ok(true)
     }
 
     /// Number of entries (full scan; for tests and stats).
@@ -597,6 +604,19 @@ mod tests {
     }
 
     #[test]
+    fn key_only_separator_format_is_refused() {
+        let pool = Arc::new(BufferPool::new(64));
+        let file = pool.register_file(Box::new(MemStorage::new()));
+        BTree::create(pool.clone(), file).unwrap();
+        pool.with_page_mut(file, PageId(0), |d| {
+            d[0..4].copy_from_slice(&MAGIC_KEY_ONLY.to_le_bytes())
+        })
+        .unwrap();
+        let err = BTree::open(pool, file).err().unwrap().to_string();
+        assert!(err.contains("recreate the index"), "{err}");
+    }
+
+    #[test]
     fn oversized_key_rejected() {
         let t = tree();
         let big = vec![b'x'; max_key_len() + 1];
@@ -604,6 +624,99 @@ mod tests {
         let ok = vec![b'x'; max_key_len()];
         t.insert(&ok, rid(1)).unwrap();
         assert_eq!(t.search(&ok).unwrap(), vec![rid(1)]);
+    }
+
+    /// Insert `entries` in order into a tree whose pool holds it whole
+    /// (these tests are about structure, not eviction), then check that
+    /// `search` finds each key's entries in rid order, `scan_all` yields
+    /// every entry in `(key, rid)` order, and every entry rejects a second
+    /// insert and can be deleted exactly once.
+    fn check_entries(entries: &[(Vec<u8>, Rid)], min_height: usize) {
+        let pool = Arc::new(BufferPool::new(1024));
+        let file = pool.register_file(Box::new(MemStorage::new()));
+        let t = BTree::create(pool, file).unwrap();
+        for (k, r) in entries {
+            t.insert(k, *r).unwrap();
+        }
+        assert!(t.height().unwrap() >= min_height, "tree too shallow");
+        let mut sorted = entries.to_vec();
+        sorted.sort();
+        let mut scanned = Vec::new();
+        t.scan_all(|k, r| scanned.push((k.to_vec(), r))).unwrap();
+        assert_eq!(scanned, sorted, "scan_all");
+        for run in sorted.chunk_by(|a, b| a.0 == b.0) {
+            let want: Vec<Rid> = run.iter().map(|e| e.1).collect();
+            assert_eq!(t.search(&run[0].0).unwrap(), want, "search");
+        }
+        for (k, r) in entries {
+            assert!(t.insert(k, *r).is_err(), "second insert accepted");
+        }
+        for (k, r) in entries.iter().rev() {
+            assert!(t.delete(k, *r).unwrap(), "entry {r:?} not deletable");
+            assert!(!t.delete(k, *r).unwrap());
+        }
+        assert!(t.is_empty().unwrap());
+    }
+
+    /// 4,000 entries over `distinct` keys (entry `i` has key
+    /// `i % distinct` and rid `i`), sorted by rid or shuffled. Keys are
+    /// `width` bytes long, which keeps the fan-out near 37, so the tree
+    /// grows past an internal-root split.
+    fn check_duplicates(distinct: u32, width: usize, shuffled: bool) {
+        const N: u32 = 4000;
+        let key = |k: u32| format!("{k:08}{}", "-".repeat(width - 8)).into_bytes();
+        let mut order: Vec<u32> = (0..N).collect();
+        if shuffled {
+            // Deterministic Fisher-Yates over a 64-bit LCG.
+            let mut x = 0x9e37_79b9_7f4a_7c15u64 ^ u64::from(distinct);
+            for i in (1..order.len()).rev() {
+                x = x
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                order.swap(i, (x >> 33) as usize % (i + 1));
+            }
+        }
+        let entries: Vec<(Vec<u8>, Rid)> =
+            order.iter().map(|&i| (key(i % distinct), rid(i))).collect();
+        check_entries(&entries, 3);
+    }
+
+    // 100-byte keys overflow a leaf at an even cell count (38), 103-byte
+    // keys at an odd one (37), so the split point differs.
+    #[test]
+    fn duplicates_sorted_by_rid_survive_splits() {
+        for width in [100, 103] {
+            for distinct in [1, 3, 40, 4000] {
+                check_duplicates(distinct, width, false);
+            }
+        }
+    }
+
+    #[test]
+    fn duplicates_in_shuffled_order_survive_splits() {
+        for width in [100, 103] {
+            for distinct in [1, 3, 40, 4000] {
+                check_duplicates(distinct, width, true);
+            }
+        }
+    }
+
+    /// A leaf holding one key splits with that same key starting its
+    /// right half: the new separator equals the one already in the
+    /// parent, and the new page must still land right of its sibling.
+    #[test]
+    fn separator_equal_to_an_existing_one_keeps_sibling_order() {
+        let long = |c: u8| {
+            let mut k = vec![c];
+            k.extend(std::iter::repeat_n(b'.', 199));
+            k
+        };
+        let mut entries: Vec<(Vec<u8>, Rid)> = (0..455).map(|i| (b"b".to_vec(), rid(i))).collect();
+        // Splits the all-"b" leaf, then the right one whose only key is
+        // "b" overflows and splits at another "b".
+        entries.extend((455..466).map(|i| (long(b'c'), rid(i))));
+        entries.push((long(b'd'), rid(466)));
+        check_entries(&entries, 2);
     }
 
     #[test]

@@ -139,6 +139,23 @@ impl BufferPool {
         Ok(f(&inner.frames[idx].data[..]))
     }
 
+    /// Copy a page's bytes into `out` (one pool access). Returns `false`,
+    /// leaving `out` untouched, if `page` lies past the end of `file`.
+    pub fn copy_page(&self, file: FileId, page: PageId, out: &mut [u8]) -> Result<bool> {
+        let mut inner = self.inner.lock();
+        let pages = inner
+            .files
+            .get(&file)
+            .ok_or_else(|| WsqError::Storage(format!("unknown file {file}")))?
+            .num_pages();
+        if page.0 >= pages {
+            return Ok(false);
+        }
+        let idx = inner.fetch(file, page)?;
+        out.copy_from_slice(&inner.frames[idx].data[..]);
+        Ok(true)
+    }
+
     /// Run `f` with write access to a page's bytes; the page is marked
     /// dirty and written back on eviction or flush.
     pub fn with_page_mut<R>(

@@ -7,7 +7,7 @@
 //! in-page compaction when later inserts land on the same page.
 
 use crate::buffer::BufferPool;
-use crate::page::{FileId, PageId};
+use crate::page::{zeroed_page, FileId, PageBuf, PageId};
 use crate::slotted::{self, SlotId};
 use std::fmt;
 use std::sync::Arc;
@@ -188,116 +188,134 @@ impl HeapFile {
         Ok(())
     }
 
-    /// Find the first live record at or after position `(page, slot)`.
-    ///
-    /// This powers external cursors (e.g. the engine's SeqScan executor)
-    /// that cannot hold a borrowing iterator across calls: keep `(page,
-    /// slot)` state and call with `(rid.page.0, rid.slot.0 + 1)` to
-    /// advance.
-    pub fn next_from(&self, page: u32, slot: u16) -> Result<Option<(Rid, Vec<u8>)>> {
-        let num_pages = self.pool.num_pages(self.file)?;
-        let mut page = page.max(1);
-        let mut slot = slot;
-        while page < num_pages {
-            let pid = PageId(page);
-            let found = self.pool.with_page(self.file, pid, |d| {
-                let n = slotted::slot_count(d);
-                let mut s = slot;
-                while s < n {
-                    if let Some(rec) = slotted::get(d, SlotId(s)) {
-                        return Some((s, rec.to_vec()));
-                    }
-                    s += 1;
-                }
-                None
-            })?;
-            if let Some((s, rec)) = found {
-                return Ok(Some((
-                    Rid {
-                        page: pid,
-                        slot: SlotId(s),
-                    },
-                    rec,
-                )));
-            }
-            page += 1;
-            slot = 0;
-        }
-        Ok(None)
-    }
-
     /// Scan every live record. Records are copied out so no page lock is
     /// held between iterator steps.
     pub fn scan(&self) -> HeapScan<'_> {
         HeapScan {
             heap: self,
-            page: 1,
+            cursor: HeapCursor::new(),
+        }
+    }
+}
+
+/// A page-at-a-time cursor over a heap's live records, in rid order.
+///
+/// Each data page is copied out of the buffer pool in one pool access
+/// (one lock, one 4 KiB copy), and its records are then read from the
+/// copy, so a scan pays the pool per page rather than per row. A page's
+/// records are those it held when it was copied. The cursor borrows
+/// nothing, so operators that cannot hold a borrowing iterator across
+/// calls (the engine's SeqScan) own one and pass the heap in.
+pub struct HeapCursor {
+    /// Copy of the loaded page.
+    buf: PageBuf,
+    /// Id of the loaded page; 0 (the header) until the first load.
+    page: u32,
+    /// Next slot of the loaded page to examine.
+    slot: u16,
+    /// Every data page has been loaded.
+    done: bool,
+}
+
+impl Default for HeapCursor {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl HeapCursor {
+    /// A cursor positioned before the first data page.
+    pub fn new() -> Self {
+        HeapCursor {
+            buf: zeroed_page(),
+            page: 0,
             slot: 0,
             done: false,
         }
+    }
+
+    /// Move back before the first data page (keeping the page buffer).
+    pub fn rewind(&mut self) {
+        self.page = 0;
+        self.slot = 0;
+        self.done = false;
+    }
+
+    /// Load the next data page of `heap`. Returns `false` once every
+    /// page has been loaded.
+    pub fn next_page(&mut self, heap: &HeapFile) -> Result<bool> {
+        if self.done {
+            return Ok(false);
+        }
+        let next = PageId(self.page + 1);
+        if heap.pool.copy_page(heap.file, next, &mut self.buf[..])? {
+            self.page = next.0;
+            self.slot = 0;
+        } else {
+            self.done = true;
+        }
+        Ok(!self.done)
+    }
+
+    /// The next live record of the loaded page, or `None` once the page
+    /// is exhausted (or before the first [`HeapCursor::next_page`]).
+    pub fn next_on_page(&mut self) -> Option<(Rid, &[u8])> {
+        let slot = self.advance()?;
+        Some(self.record(slot))
+    }
+
+    /// The next live record of `heap`, loading pages as needed.
+    pub fn next(&mut self, heap: &HeapFile) -> Result<Option<(Rid, &[u8])>> {
+        loop {
+            if let Some(slot) = self.advance() {
+                return Ok(Some(self.record(slot)));
+            }
+            if !self.next_page(heap)? {
+                return Ok(None);
+            }
+        }
+    }
+
+    /// Step past the next live slot of the loaded page and return it.
+    fn advance(&mut self) -> Option<u16> {
+        if self.page == 0 {
+            return None;
+        }
+        let n = slotted::slot_count(&self.buf[..]);
+        while self.slot < n {
+            let s = self.slot;
+            self.slot += 1;
+            if slotted::get(&self.buf[..], SlotId(s)).is_some() {
+                return Some(s);
+            }
+        }
+        None
+    }
+
+    fn record(&self, slot: u16) -> (Rid, &[u8]) {
+        let rid = Rid {
+            page: PageId(self.page),
+            slot: SlotId(slot),
+        };
+        let rec = slotted::get(&self.buf[..], rid.slot).expect("advance returned a live slot");
+        (rid, rec)
     }
 }
 
 /// Iterator over `(Rid, record bytes)` of a heap file, page by page.
 pub struct HeapScan<'a> {
     heap: &'a HeapFile,
-    page: u32,
-    slot: u16,
-    done: bool,
+    cursor: HeapCursor,
 }
 
 impl Iterator for HeapScan<'_> {
     type Item = Result<(Rid, Vec<u8>)>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        if self.done {
-            return None;
-        }
-        loop {
-            let num_pages = match self.heap.pool.num_pages(self.heap.file) {
-                Ok(n) => n,
-                Err(e) => {
-                    self.done = true;
-                    return Some(Err(e));
-                }
-            };
-            if self.page >= num_pages {
-                self.done = true;
-                return None;
-            }
-            let page = PageId(self.page);
-            let found = self.heap.pool.with_page(self.heap.file, page, |d| {
-                let n = slotted::slot_count(d);
-                let mut s = self.slot;
-                while s < n {
-                    if let Some(rec) = slotted::get(d, SlotId(s)) {
-                        return Some((s, rec.to_vec()));
-                    }
-                    s += 1;
-                }
-                None
-            });
-            match found {
-                Ok(Some((s, rec))) => {
-                    self.slot = s + 1;
-                    return Some(Ok((
-                        Rid {
-                            page,
-                            slot: SlotId(s),
-                        },
-                        rec,
-                    )));
-                }
-                Ok(None) => {
-                    self.page += 1;
-                    self.slot = 0;
-                }
-                Err(e) => {
-                    self.done = true;
-                    return Some(Err(e));
-                }
-            }
-        }
+        self.cursor
+            .next(self.heap)
+            .map(|r| r.map(|(rid, rec)| (rid, rec.to_vec())))
+            .transpose()
     }
 }
 

@@ -28,5 +28,5 @@ pub mod slotted;
 pub use btree::BTree;
 pub use buffer::{BufferPool, PoolStats};
 pub use disk::{FileStorage, MemStorage, Storage};
-pub use heap::{HeapFile, Rid};
+pub use heap::{HeapCursor, HeapFile, Rid};
 pub use page::{FileId, PageId, PAGE_SIZE};

@@ -148,3 +148,33 @@ fn to_table_renders() {
     assert!(text.contains("Utah"));
     assert!(text.lines().count() >= 3);
 }
+
+#[test]
+fn index_lookup_on_a_key_with_many_duplicates_keeps_every_row() {
+    // 40 buckets × 1,000 rows: each bucket's index entries span several
+    // B+-tree leaves and the tree grows past an internal-root split.
+    let mut w = Wsq::open_in_memory(WsqConfig::fast()).unwrap();
+    w.execute("CREATE TABLE T (Term VARCHAR(16), Bucket INT)")
+        .unwrap();
+    let rows: Vec<Tuple> = (0..40_000)
+        .map(|i| {
+            Tuple::new(vec![
+                Value::from(format!("t{i:06}").as_str()),
+                Value::Int(i % 40),
+            ])
+        })
+        .collect();
+    w.db_mut().insert("T", &rows).unwrap();
+    let count = |w: &mut Wsq| match w
+        .query("SELECT COUNT(*) FROM T WHERE Bucket = 7")
+        .unwrap()
+        .rows[0]
+        .get(0)
+    {
+        Value::Int(n) => *n,
+        v => panic!("COUNT(*) returned {v:?}"),
+    };
+    assert_eq!(count(&mut w), 1000);
+    w.execute("CREATE INDEX ON T (Bucket)").unwrap();
+    assert_eq!(count(&mut w), 1000, "the index lost rows");
+}

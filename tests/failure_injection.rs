@@ -50,6 +50,7 @@ fn flaky_engine_fails_queries_cleanly_in_all_modes() {
             std::thread::sleep(Duration::from_millis(2));
         }
         assert_eq!(wsq.pump().live_calls(), 0, "{mode:?} leaked calls");
+        assert_eq!(wsq.pump().live_watchers(), 0, "{mode:?} leaked watches");
     }
     assert!(flaky.stats().failures >= 3);
     // The instance still answers healthy queries.
@@ -114,6 +115,7 @@ fn capped_query_failure_releases_every_buffer_slot() {
     }
     assert_eq!(wsq.pump().live_calls(), 0, "leaked pump registrations");
     assert_eq!(m.in_flight.get(), 0, "in-flight gauge did not drain");
+    assert_eq!(wsq.pump().live_watchers(), 0, "leaked inbox watches");
     // The instance is still usable afterwards.
     let r = wsq.query("SELECT COUNT(*) FROM States").unwrap();
     assert_eq!(r.rows[0].get(0).as_int().unwrap(), 50);
@@ -164,6 +166,7 @@ fn flaky_backend_mid_window_releases_every_prefetched_slot() {
     assert_eq!(wsq.pump().live_calls(), 0, "prefetched slots leaked");
     assert_eq!(m.in_flight.get(), 0, "in-flight gauge did not drain");
     assert_eq!(m.reqsync_buffered.get(), 0, "buffer slots leaked");
+    assert_eq!(wsq.pump().live_watchers(), 0, "leaked inbox watches");
     assert!(
         m.prefetch_wasted.get() > 0,
         "error path never released its unconsumed prefetches"
@@ -202,6 +205,7 @@ fn flaky_backend_mid_batch_releases_every_registered_slot() {
     assert_eq!(wsq.pump().live_calls(), 0, "batched slots leaked");
     assert_eq!(m.in_flight.get(), 0, "in-flight gauge did not drain");
     assert_eq!(m.reqsync_buffered.get(), 0, "buffer slots leaked");
+    assert_eq!(wsq.pump().live_watchers(), 0, "leaked inbox watches");
     // The instance is still usable afterwards.
     let r = wsq.query("SELECT COUNT(*) FROM States").unwrap();
     assert_eq!(r.rows[0].get(0).as_int().unwrap(), 50);
@@ -315,12 +319,15 @@ fn chaos_rows(r: &QueryResult) -> Vec<(String, i64)> {
 }
 
 /// Poll until every resource gauge reads zero, then assert so: a leaked
-/// pump slot, in-flight registration, or buffered ReqSync tuple fails
-/// the scenario by name.
+/// pump slot, in-flight registration, buffered ReqSync tuple or inbox
+/// watch fails the scenario by name.
 fn assert_fully_drained(wsq: &Wsq, scenario: &str) {
     let m = wsq.obs().metrics().unwrap();
     let deadline = Instant::now() + Duration::from_secs(2);
-    while (wsq.pump().live_calls() > 0 || m.in_flight.get() > 0 || m.reqsync_buffered.get() > 0)
+    while (wsq.pump().live_calls() > 0
+        || m.in_flight.get() > 0
+        || m.reqsync_buffered.get() > 0
+        || wsq.pump().live_watchers() > 0)
         && Instant::now() < deadline
     {
         std::thread::sleep(Duration::from_millis(2));
@@ -339,6 +346,11 @@ fn assert_fully_drained(wsq: &Wsq, scenario: &str) {
         m.reqsync_buffered.get(),
         0,
         "scenario '{scenario}' left buffered ReqSync tuples"
+    );
+    assert_eq!(
+        wsq.pump().live_watchers(),
+        0,
+        "scenario '{scenario}' left inbox watches behind"
     );
 }
 
