@@ -19,18 +19,21 @@
 //! - [`batched_drain_model`]: the watch → `wait_drain` loop that
 //!   `ReqSyncExec` runs processes every completion exactly once and
 //!   terminates under every schedule.
-//! - [`stall_resume_model`]: the admission-control handshake a *capped*
-//!   ReqSync runs (DESIGN.md §11) — admit until full, then alternate
-//!   flush-and-drain with a blocking `wait_drain` until the low-water
-//!   mark — never loses a wakeup (even when the pump completes the last
-//!   pending call exactly as the scan stalls), never patches twice,
-//!   never exceeds the cap, and cannot deadlock at `cap == 1`.
-//! - [`batch_admission_model`]: the batch-at-a-time fill loop a capped
-//!   ReqSync runs (DESIGN.md §14) — admit room-sized chunks of one
-//!   executor batch *larger than the cap*, stalling to the low-water
-//!   mark between chunks, against completers racing the whole loop —
-//!   never loses a wakeup, never patches twice, never lets occupancy
-//!   exceed the cap, and always exits fully drained.
+//! - [`stall_resume_model`]: the admission discipline a *capped*
+//!   ReqSync runs (DESIGN.md §11) — admit greedily until full, then
+//!   carry the stall across `next` calls, handing up ready rows and
+//!   blocking in `wait_drain` only empty-handed until the low-water
+//!   mark, with a consumer that may stop mid-stall — never loses a
+//!   wakeup (even when the pump completes the last pending call exactly
+//!   as the scan stalls), never patches twice, never exceeds the cap,
+//!   records every stall once, cannot deadlock at `cap == 1`, and exits
+//!   with no watch left behind.
+//! - [`batch_admission_model`]: the same discipline with batch-at-a-time
+//!   child pulls (DESIGN.md §14) — room-sized chunks of one executor
+//!   batch *larger than the cap* cross the buffer in waves, against
+//!   completers racing the whole loop — never loses a wakeup, never
+//!   patches twice, never lets occupancy exceed the cap, and always
+//!   exits fully drained.
 //! - [`late_watch_model`]: a watch that arrives after its call completed
 //!   is delivered by the watch itself, and one coalesced call watched by
 //!   two inboxes reaches each exactly once.
@@ -88,6 +91,9 @@ fn bounds() -> Config {
 struct InboxSlot {
     ready: Vec<(u64, u64)>,
     watching: usize,
+    /// Calls this inbox watched, so `reset` visits only their interest
+    /// lists.
+    watched: Vec<u64>,
     sleeping: bool,
 }
 
@@ -181,6 +187,7 @@ impl MiniPump {
         let wake = {
             let mut slot = inbox.slot.lock();
             slot.watching += added;
+            slot.watched.extend_from_slice(calls);
             let mut wake = false;
             for d in done {
                 wake |= slot.push(d);
@@ -221,6 +228,28 @@ impl MiniPump {
 
     fn complete(&self, cid: u64, value: u64) {
         self.complete_batch(&[(cid, value)]);
+    }
+
+    /// `Inbox::reset`: with watches outstanding, take the state lock and
+    /// then the slot lock, and drop this inbox from the interest list of
+    /// every call it watched; then discard undrained deliveries.
+    fn reset(&self, inbox: &Arc<Inbox>) {
+        if inbox.slot.lock().watching > 0 {
+            let mut st = self.state.lock();
+            let mut slot = inbox.slot.lock();
+            for call in std::mem::take(&mut slot.watched) {
+                if let Some(list) = st.interest.get_mut(&call) {
+                    list.retain(|i| !Arc::ptr_eq(i, inbox));
+                    if list.is_empty() {
+                        st.interest.remove(&call);
+                    }
+                }
+            }
+            slot.watching = 0;
+        }
+        let mut slot = inbox.slot.lock();
+        slot.watched.clear();
+        slot.ready.clear();
     }
 }
 
@@ -294,213 +323,273 @@ pub fn batched_drain_model() -> Stats {
     })
 }
 
-/// A capped ReqSync's view of its buffer in the models below: admitted
-/// calls (not yet patched), calls admitted but not yet watched, and the
-/// patched results.
-#[derive(Default)]
+/// A capped `ReqSyncExec` at its synchronization points, as the models
+/// below drive it: the child's calls not yet pulled, admitted calls not
+/// yet patched, calls admitted but not yet watched, patched rows not yet
+/// emitted, and the stall carried across `next` calls.
 struct MiniSync {
+    cap: usize,
+    /// Calls per child pull (`batch_room` caps each pull to the free
+    /// space under the cap, floored at 1).
+    chunk: usize,
+    child: Vec<u64>,
+    /// A pull found the child empty (as in the real code, exhaustion is
+    /// only learned by pulling).
+    child_done: bool,
     buffered: Vec<u64>,
     unwatched: Vec<u64>,
+    ready: Vec<u64>,
+    stalled: bool,
+    /// Stall episodes begun, and episodes closed out (resumed or cut
+    /// short by `close`).
+    stalls: usize,
+    recorded: usize,
+    high_water: usize,
     processed: BTreeMap<u64, u64>,
 }
 
 impl MiniSync {
-    /// `admit`: index the call; its watch waits for the next flush.
-    fn admit(&mut self, cid: u64) {
-        self.buffered.push(cid);
-        self.unwatched.push(cid);
+    /// `open`: admit greedily from a child yielding `calls`.
+    fn open(cap: usize, chunk: usize, calls: u64) -> MiniSync {
+        let mut sync = MiniSync {
+            cap,
+            chunk,
+            child: (1..=calls).rev().collect(),
+            child_done: false,
+            buffered: Vec::new(),
+            unwatched: Vec::new(),
+            ready: Vec::new(),
+            stalled: false,
+            stalls: 0,
+            recorded: 0,
+            high_water: 0,
+            processed: BTreeMap::new(),
+        };
+        sync.admit_greedily();
+        sync
     }
 
-    /// `flush_watches`: one `watch` for everything admitted since.
-    fn flush(&mut self, pump: &MiniPump, inbox: &Arc<Inbox>) {
+    /// `admit_greedily`: pull room-sized chunks until the child is
+    /// exhausted or the buffer reaches the cap, which begins a stall.
+    /// Watches wait for the next flush; nothing here blocks.
+    fn admit_greedily(&mut self) {
+        while !self.child_done {
+            if self.buffered.len() >= self.cap {
+                self.stalled = true;
+                self.stalls += 1;
+                return;
+            }
+            if self.child.is_empty() {
+                self.child_done = true;
+                return;
+            }
+            let room = self
+                .chunk
+                .min(self.cap - self.buffered.len())
+                .max(1)
+                .min(self.child.len());
+            for _ in 0..room {
+                let cid = self.child.pop().expect("room <= child.len()");
+                self.buffered.push(cid);
+                self.unwatched.push(cid);
+            }
+            self.high_water = self.high_water.max(self.buffered.len());
+        }
+    }
+
+    /// `resume_at_low_water`: at `cap / 2` the stall ends and greedy
+    /// admission picks up again.
+    fn resume_at_low_water(&mut self) {
+        if self.stalled && self.buffered.len() <= self.cap / 2 {
+            self.stalled = false;
+            self.recorded += 1;
+            self.admit_greedily();
+        }
+    }
+
+    /// `await_completions`: one `watch` for everything admitted since
+    /// the last flush, then block in `wait_drain` and patch everything
+    /// it hands over into `ready`.
+    fn await_some(&mut self, pump: &MiniPump, inbox: &Arc<Inbox>) {
         if !self.unwatched.is_empty() {
             let calls = std::mem::take(&mut self.unwatched);
             pump.watch(inbox, &calls);
         }
-    }
-
-    fn patch(&mut self, drained: Vec<(u64, u64)>) {
-        for (cid, v) in drained {
+        for (cid, v) in inbox.wait_drain() {
             assert!(
                 self.processed.insert(cid, v).is_none(),
                 "double patch of {cid}"
             );
             self.buffered.retain(|c| *c != cid);
+            self.ready.push(cid);
         }
     }
 
-    /// `drain_completions`: flush, then patch with whatever is in the
-    /// inbox, without blocking.
-    fn drain(&mut self, pump: &MiniPump, inbox: &Arc<Inbox>) {
-        self.flush(pump, inbox);
-        let drained = inbox.try_drain();
-        self.patch(drained);
-    }
-
-    /// `await_completions`: flush, block in `wait_drain`, patch.
-    fn await_some(&mut self, pump: &MiniPump, inbox: &Arc<Inbox>) {
-        self.flush(pump, inbox);
-        let drained = inbox.wait_drain();
-        self.patch(drained);
-    }
-
-    /// `stall_until_low_water`: at the cap, alternate drains with
-    /// blocking waits until occupancy reaches `cap / 2`.
-    fn stall(&mut self, pump: &MiniPump, inbox: &Arc<Inbox>, cap: usize) {
-        if self.buffered.len() < cap {
-            return;
-        }
+    /// `next`: resume at the low-water mark, hand up a ready row if
+    /// there is one — stalled or not — and block only empty-handed.
+    fn next(&mut self, pump: &MiniPump, inbox: &Arc<Inbox>) -> Option<u64> {
         loop {
-            self.drain(pump, inbox);
-            if self.buffered.len() <= cap / 2 {
-                break;
+            self.resume_at_low_water();
+            if !self.ready.is_empty() {
+                return Some(self.ready.remove(0));
+            }
+            if self.buffered.is_empty() {
+                assert!(
+                    self.child_done && !self.stalled,
+                    "stream ended with the child unfinished"
+                );
+                return None;
             }
             self.await_some(pump, inbox);
         }
     }
+
+    /// `close`: close out a stall in progress and drop every watch.
+    fn close(&mut self, pump: &MiniPump, inbox: &Arc<Inbox>) {
+        if self.stalled {
+            self.stalled = false;
+            self.recorded += 1;
+        }
+        pump.reset(inbox);
+        self.buffered.clear();
+        self.unwatched.clear();
+        self.ready.clear();
+    }
 }
 
-/// The capped `ReqSyncExec` admission loop (`stall_until_low_water`),
-/// at the real code's exact synchronization points: admit one call per
-/// child pull (its watch deferred to the next flush); at `cap` buffered,
-/// alternate a flush-and-drain with a blocking `wait_drain` until
-/// occupancy reaches the low-water mark (`cap / 2`); after the child is
-/// exhausted, wait out the tail the same way. Completer threads race the
-/// whole loop (`split` uses two, so completion order itself is explored
-/// adversarially).
+/// Spawn completer threads finishing `jobs` (call ids, in order per
+/// thread) with value `cid + 100`.
+fn spawn_completers(pump: &Arc<MiniPump>, jobs: Vec<Vec<u64>>) -> Vec<thread::JoinHandle<()>> {
+    jobs.into_iter()
+        .filter(|cids| !cids.is_empty())
+        .map(|cids| {
+            let p = pump.clone();
+            thread::spawn(move || {
+                for cid in cids {
+                    p.complete(cid, cid + 100);
+                }
+            })
+        })
+        .collect()
+}
+
+/// The consumer side shared by the models below: pull rows through
+/// `next` — at most `stop_after` of them, then `close` mid-stream —
+/// join the completers, and check the exit. Every patched value is
+/// right, occupancy never exceeded the cap, every stall episode was
+/// closed out exactly once, and no watch or interest entry survives.
+/// A consumer that reads to the end saw every call patched once.
+fn consume(
+    mut sync: MiniSync,
+    pump: &Arc<MiniPump>,
+    inbox: &Arc<Inbox>,
+    completers: Vec<thread::JoinHandle<()>>,
+    calls: u64,
+    stop_after: Option<usize>,
+) {
+    let mut rows = Vec::new();
+    while rows.len() < stop_after.unwrap_or(usize::MAX) {
+        match sync.next(pump, inbox) {
+            Some(cid) => rows.push(cid),
+            None => break,
+        }
+    }
+    sync.close(pump, inbox);
+    for c in completers {
+        c.join();
+    }
+    for (cid, v) in &sync.processed {
+        assert_eq!(*v, cid + 100, "wrong patch for {cid}");
+    }
+    if stop_after.is_none() {
+        assert_eq!(rows.len(), calls as usize, "a call was never patched");
+    }
+    assert!(
+        sync.high_water <= sync.cap,
+        "occupancy {} exceeded the cap {}",
+        sync.high_water,
+        sync.cap
+    );
+    assert_eq!(sync.recorded, sync.stalls, "a stall episode was lost");
+    let slot = inbox.slot.lock();
+    assert!(
+        slot.watching == 0 && slot.ready.is_empty(),
+        "exit left the inbox watching"
+    );
+    drop(slot);
+    assert!(
+        pump.state.lock().interest.is_empty(),
+        "exit leaked interest registrations"
+    );
+}
+
+/// The capped `ReqSyncExec` discipline (DESIGN.md §11) at the real
+/// code's synchronization points: `open` admits greedily up to the cap
+/// (watches deferred to the first flush) and stalls without blocking;
+/// each `next` resumes greedy admission at the low-water mark
+/// (`cap / 2`), hands up a ready row if it holds one — stalled or not —
+/// and only empty-handed flushes its watches and blocks in `wait_drain`.
+/// The consumer takes one row per `next` and, with `stop_after`, walks
+/// away mid-stream (`close`: the open stall is closed out and every
+/// watch dropped while completers are still running). Completer threads
+/// race the whole loop (`split` uses two, so completion order itself is
+/// explored adversarially).
 ///
 /// The checker proves, over every interleaving: every call is patched
-/// exactly once, occupancy never exceeds the cap, and the loop always
-/// terminates — in particular the stall cannot miss the completion of
-/// its last pending call (a watch that arrives after the completion
+/// exactly once, occupancy never exceeds the cap, every stall is
+/// recorded once, the exit leaves no watch behind, and the loop always
+/// terminates — in particular a stall cannot miss the completion of its
+/// last pending call (a watch that arrives after the completion
 /// delivers it under the same lock the completer publishes under), and
-/// `cap == 1`, the tightest setting, admits → waits → drains without
-/// deadlock.
-pub fn stall_resume_model(cap: usize, split: bool) -> Stats {
+/// `cap == 1`, the tightest setting, admits → waits → emits → resumes
+/// without deadlock.
+pub fn stall_resume_model(cap: usize, split: bool, stop_after: Option<usize>) -> Stats {
     check_with(bounds(), move || {
         let pump = Arc::new(MiniPump::new());
         // One completer finishing three calls in order, or — to explore
         // completion *order* adversarially without exploding the
         // schedule tree — two completers racing over one call each.
-        let jobs: Vec<Vec<u64>> = if split {
-            vec![vec![1], vec![2]]
+        let (jobs, n) = if split {
+            (vec![vec![1], vec![2]], 2)
         } else {
-            vec![vec![1, 2, 3]]
+            (vec![vec![1, 2, 3]], 3)
         };
-        let n = if split { 2u64 } else { 3u64 };
-        let completers: Vec<_> = jobs
-            .into_iter()
-            .map(|cids| {
-                let p = pump.clone();
-                thread::spawn(move || {
-                    for cid in cids {
-                        p.complete(cid, cid + 100);
-                    }
-                })
-            })
-            .collect();
+        let completers = spawn_completers(&pump, jobs);
         let inbox = Inbox::new();
-        let mut sync = MiniSync::default();
-        let mut high_water = 0usize;
-        for cid in 1..=n {
-            sync.admit(cid);
-            high_water = high_water.max(sync.buffered.len());
-            sync.stall(&pump, &inbox, cap);
-        }
-        while !sync.buffered.is_empty() {
-            sync.await_some(&pump, &inbox);
-        }
-        for c in completers {
-            c.join();
-        }
-        assert_eq!(sync.processed.len(), n as usize, "a call was never patched");
-        for cid in 1..=n {
-            assert_eq!(sync.processed.get(&cid), Some(&(cid + 100)));
-        }
-        assert!(
-            high_water <= cap,
-            "occupancy {high_water} exceeded the cap {cap}"
-        );
+        let sync = MiniSync::open(cap, 1, n);
+        consume(sync, &pump, &inbox, completers, n, stop_after);
     })
 }
 
-/// The batch-at-a-time admission loop a *capped* `ReqSyncExec` runs
-/// when the executor batch size exceeds the cap (DESIGN.md §14), at the
-/// real code's synchronization points: `batch_room` sizes each child
-/// pull to the free space under the cap, the whole chunk is admitted
-/// (watches deferred to one flush), and `stall_until_low_water`
-/// alternates flush-and-drain with blocking `wait_drain` until occupancy
-/// reaches `cap / 2` before the next chunk — so one oversized batch
-/// crosses the buffer in cap-bounded waves. Completer threads race the
-/// entire loop (`split` uses two, so completion order itself is explored
-/// adversarially without exploding the schedule tree).
+/// The same discipline with batch-at-a-time child pulls larger than the
+/// cap (DESIGN.md §14): `batch_room` sizes each pull to the free space
+/// under the cap, so one oversized batch crosses the buffer in
+/// cap-bounded waves, each wave admitted before one flush. Completer
+/// threads race the entire loop (`split` uses two, so completion order
+/// itself is explored adversarially without exploding the schedule
+/// tree).
 ///
 /// The checker proves, over every interleaving: every call in the batch
 /// is patched exactly once, occupancy never exceeds the cap (even
 /// though the batch is bigger than it), no wakeup is lost — in
-/// particular a completion landing exactly as the fill stalls between
-/// chunks — and the loop always exits fully drained.
+/// particular a completion landing exactly as admission stalls between
+/// waves — and the loop always exits fully drained.
 pub fn batch_admission_model(cap: usize, batch: usize, split: bool) -> Stats {
     check_with(bounds(), move || {
         let pump = Arc::new(MiniPump::new());
         // One completer finishing the batch in order, or the batch's
         // calls split across two completers so the scheduler explores
-        // every completion order across the fill waves.
+        // every completion order across the admission waves.
         let jobs: Vec<Vec<u64>> = if split {
             let mid = (batch / 2).max(1) as u64;
             vec![(1..=mid).collect(), (mid + 1..=batch as u64).collect()]
         } else {
             vec![(1..=batch as u64).collect()]
         };
-        let completers: Vec<_> = jobs
-            .into_iter()
-            .filter(|cids| !cids.is_empty())
-            .map(|cids| {
-                let p = pump.clone();
-                thread::spawn(move || {
-                    for cid in cids {
-                        p.complete(cid, cid + 100);
-                    }
-                })
-            })
-            .collect();
+        let completers = spawn_completers(&pump, jobs);
         let inbox = Inbox::new();
-        let mut sync = MiniSync::default();
-        let mut remaining: Vec<u64> = (1..=batch as u64).collect();
-        let mut high_water = 0usize;
-        while !remaining.is_empty() {
-            // `batch_room`: the chunk of the batch the free space under
-            // the cap admits (the fill only runs below capacity, so the
-            // room is always at least one).
-            let room = cap
-                .saturating_sub(sync.buffered.len())
-                .max(1)
-                .min(remaining.len());
-            for cid in remaining.drain(..room) {
-                sync.admit(cid);
-                high_water = high_water.max(sync.buffered.len());
-            }
-            sync.stall(&pump, &inbox, cap);
-        }
-        while !sync.buffered.is_empty() {
-            sync.await_some(&pump, &inbox);
-        }
-        for c in completers {
-            c.join();
-        }
-        assert_eq!(
-            sync.processed.len(),
-            batch,
-            "a call in the batch was never patched"
-        );
-        for cid in 1..=batch as u64 {
-            assert_eq!(sync.processed.get(&cid), Some(&(cid + 100)));
-        }
-        assert!(
-            high_water <= cap,
-            "batch admission let occupancy {high_water} exceed the cap {cap}"
-        );
-        assert!(sync.buffered.is_empty(), "exit must be fully drained");
+        let sync = MiniSync::open(cap, batch, batch as u64);
+        consume(sync, &pump, &inbox, completers, batch as u64, None);
     })
 }
 
@@ -1347,14 +1436,21 @@ mod tests {
 
     #[test]
     fn stall_resume_cannot_deadlock_at_cap_one() {
-        let stats = stall_resume_model(1, false);
+        let stats = stall_resume_model(1, false, None);
         assert!(stats.complete, "exploration hit the schedule cap");
         assert!(stats.schedules >= 2, "expected multiple interleavings");
     }
 
     #[test]
     fn stall_resume_loses_no_wakeup_under_adversarial_completion_order() {
-        let stats = stall_resume_model(2, true);
+        let stats = stall_resume_model(2, true, None);
+        assert!(stats.complete, "exploration hit the schedule cap");
+        assert!(stats.schedules >= 2, "expected multiple interleavings");
+    }
+
+    #[test]
+    fn stall_resume_consumer_can_stop_mid_stall() {
+        let stats = stall_resume_model(2, false, Some(1));
         assert!(stats.complete, "exploration hit the schedule cap");
         assert!(stats.schedules >= 2, "expected multiple interleavings");
     }

@@ -99,34 +99,21 @@ pub fn apply(plan: &PhysPlan, m: Mutation) -> Option<PhysPlan> {
             other => Err(other),
         },
         Mutation::StripSyncAttr => &mut |p| match p {
-            PhysPlan::ReqSync {
-                input,
-                attrs,
-                mode,
-                cap,
-            } if !attrs.is_empty() => Ok(PhysPlan::ReqSync {
+            PhysPlan::ReqSync { input, attrs, cap } if !attrs.is_empty() => Ok(PhysPlan::ReqSync {
                 input,
                 attrs: attrs[1..].to_vec(),
-                mode,
                 cap,
             }),
             other => Err(other),
         },
         Mutation::DuplicateReqSync => &mut |p| match p {
-            PhysPlan::ReqSync {
-                input,
-                attrs,
-                mode,
-                cap,
-            } => Ok(PhysPlan::ReqSync {
+            PhysPlan::ReqSync { input, attrs, cap } => Ok(PhysPlan::ReqSync {
                 input: Box::new(PhysPlan::ReqSync {
                     input,
                     attrs: attrs.clone(),
-                    mode,
                     cap,
                 }),
                 attrs,
-                mode,
                 cap,
             }),
             other => Err(other),
@@ -139,15 +126,9 @@ pub fn apply(plan: &PhysPlan, m: Mutation) -> Option<PhysPlan> {
                 ) =>
             {
                 match *input {
-                    PhysPlan::ReqSync {
-                        input,
-                        attrs,
-                        mode,
-                        cap,
-                    } => Ok(PhysPlan::ReqSync {
+                    PhysPlan::ReqSync { input, attrs, cap } => Ok(PhysPlan::ReqSync {
                         input: Box::new(PhysPlan::Filter { input, predicate }),
                         attrs,
-                        mode,
                         cap,
                     }),
                     _ => unreachable!("guard matched ReqSync"),
@@ -158,15 +139,9 @@ pub fn apply(plan: &PhysPlan, m: Mutation) -> Option<PhysPlan> {
         Mutation::HoistSortBelowSync => &mut |p| match p {
             PhysPlan::Sort { input, keys } if matches!(&*input, PhysPlan::ReqSync { .. }) => {
                 match *input {
-                    PhysPlan::ReqSync {
-                        input,
-                        attrs,
-                        mode,
-                        cap,
-                    } => Ok(PhysPlan::ReqSync {
+                    PhysPlan::ReqSync { input, attrs, cap } => Ok(PhysPlan::ReqSync {
                         input: Box::new(PhysPlan::Sort { input, keys }),
                         attrs,
-                        mode,
                         cap,
                     }),
                     _ => unreachable!("guard matched ReqSync"),
@@ -175,58 +150,35 @@ pub fn apply(plan: &PhysPlan, m: Mutation) -> Option<PhysPlan> {
             other => Err(other),
         },
         Mutation::AggregateBelowSync => &mut |p| match p {
-            PhysPlan::ReqSync {
-                input,
-                attrs,
-                mode,
-                cap,
-            } if !attrs.is_empty() => Ok(PhysPlan::ReqSync {
+            PhysPlan::ReqSync { input, attrs, cap } if !attrs.is_empty() => Ok(PhysPlan::ReqSync {
                 input: Box::new(PhysPlan::Aggregate {
                     input,
                     group_by: vec![],
                     aggs: vec![(AggFunc::Count, None, "n".to_string())],
                 }),
                 attrs,
-                mode,
                 cap,
             }),
             other => Err(other),
         },
         Mutation::DistinctBelowSync => &mut |p| match p {
-            PhysPlan::ReqSync {
-                input,
-                attrs,
-                mode,
-                cap,
-            } if !attrs.is_empty() => Ok(PhysPlan::ReqSync {
+            PhysPlan::ReqSync { input, attrs, cap } if !attrs.is_empty() => Ok(PhysPlan::ReqSync {
                 input: Box::new(PhysPlan::Distinct { input }),
                 attrs,
-                mode,
                 cap,
             }),
             other => Err(other),
         },
         Mutation::LimitBelowSync => &mut |p| match p {
-            PhysPlan::ReqSync {
-                input,
-                attrs,
-                mode,
-                cap,
-            } if !attrs.is_empty() => Ok(PhysPlan::ReqSync {
+            PhysPlan::ReqSync { input, attrs, cap } if !attrs.is_empty() => Ok(PhysPlan::ReqSync {
                 input: Box::new(PhysPlan::Limit { input, n: 1 }),
                 attrs,
-                mode,
                 cap,
             }),
             other => Err(other),
         },
         Mutation::ProjectAwayPlaceholder => &mut |p| match p {
-            PhysPlan::ReqSync {
-                input,
-                attrs,
-                mode,
-                cap,
-            } if !attrs.is_empty() => {
+            PhysPlan::ReqSync { input, attrs, cap } if !attrs.is_empty() => {
                 let in_schema = input.schema();
                 let kept: Vec<&Column> = in_schema
                     .columns()
@@ -240,12 +192,7 @@ pub fn apply(plan: &PhysPlan, m: Mutation) -> Option<PhysPlan> {
                     })
                     .collect();
                 if kept.is_empty() {
-                    return Err(PhysPlan::ReqSync {
-                        input,
-                        attrs,
-                        mode,
-                        cap,
-                    });
+                    return Err(PhysPlan::ReqSync { input, attrs, cap });
                 }
                 let items = kept
                     .iter()
@@ -271,19 +218,13 @@ pub fn apply(plan: &PhysPlan, m: Mutation) -> Option<PhysPlan> {
                         schema,
                     }),
                     attrs,
-                    mode,
                     cap,
                 })
             }
             other => Err(other),
         },
         Mutation::ComputeOverPlaceholder => &mut |p| match p {
-            PhysPlan::ReqSync {
-                input,
-                attrs,
-                mode,
-                cap,
-            } if !attrs.is_empty() => {
+            PhysPlan::ReqSync { input, attrs, cap } if !attrs.is_empty() => {
                 let victim = attrs[0].clone();
                 Ok(PhysPlan::ReqSync {
                     input: Box::new(PhysPlan::Project {
@@ -299,7 +240,6 @@ pub fn apply(plan: &PhysPlan, m: Mutation) -> Option<PhysPlan> {
                         schema: Schema::new(vec![Column::new("computed", DataType::Int)]),
                     }),
                     attrs,
-                    mode,
                     cap,
                 })
             }
@@ -326,25 +266,18 @@ pub fn apply(plan: &PhysPlan, m: Mutation) -> Option<PhysPlan> {
             other => Err(other),
         },
         Mutation::ForgePrefetchDepth => &mut |p| match p {
-            PhysPlan::ReqSync {
-                input,
-                attrs,
-                mode,
-                cap,
-            } => {
+            PhysPlan::ReqSync { input, attrs, cap } => {
                 let forged = cap.unwrap_or(4);
                 match forge_scan(*input, &mut |spec| spec.prefetch.depth = forged + 3) {
                     Ok(i) => Ok(PhysPlan::ReqSync {
                         input: Box::new(i),
                         attrs,
-                        mode,
                         cap: Some(forged),
                     }),
                     // Not applicable here: rebuild unchanged.
                     Err(i) => Err(PhysPlan::ReqSync {
                         input: Box::new(i),
                         attrs,
-                        mode,
                         cap,
                     }),
                 }
@@ -352,25 +285,18 @@ pub fn apply(plan: &PhysPlan, m: Mutation) -> Option<PhysPlan> {
             other => Err(other),
         },
         Mutation::ForgeBatchSize => &mut |p| match p {
-            PhysPlan::ReqSync {
-                input,
-                attrs,
-                mode,
-                cap,
-            } => {
+            PhysPlan::ReqSync { input, attrs, cap } => {
                 let forged = cap.unwrap_or(4);
                 match forge_scan(*input, &mut |spec| spec.prefetch.batch = forged + 3) {
                     Ok(i) => Ok(PhysPlan::ReqSync {
                         input: Box::new(i),
                         attrs,
-                        mode,
                         cap: Some(forged),
                     }),
                     // Not applicable here: rebuild unchanged.
                     Err(i) => Err(PhysPlan::ReqSync {
                         input: Box::new(i),
                         attrs,
-                        mode,
                         cap,
                     }),
                 }
@@ -378,18 +304,12 @@ pub fn apply(plan: &PhysPlan, m: Mutation) -> Option<PhysPlan> {
             other => Err(other),
         },
         Mutation::SinkRerankBelowSync => &mut |p| match p {
-            PhysPlan::ReqSync {
-                input,
-                attrs,
-                mode,
-                cap,
-            } if !attrs.is_empty() => Ok(PhysPlan::ReqSync {
+            PhysPlan::ReqSync { input, attrs, cap } if !attrs.is_empty() => Ok(PhysPlan::ReqSync {
                 input: Box::new(PhysPlan::Rerank {
                     input,
                     scorer: RerankScorer::UrlLen,
                 }),
                 attrs,
-                mode,
                 cap,
             }),
             other => Err(other),
@@ -398,12 +318,10 @@ pub fn apply(plan: &PhysPlan, m: Mutation) -> Option<PhysPlan> {
             PhysPlan::ReqSync {
                 input,
                 attrs,
-                mode,
                 cap: Some(_),
             } => Ok(PhysPlan::ReqSync {
                 input,
                 attrs,
-                mode,
                 cap: None,
             }),
             other => Err(other),
@@ -515,22 +433,15 @@ fn rebind(plan: PhysPlan, col: ColumnRef) -> Result<PhysPlan, PhysPlan> {
                 predicate,
             }),
         },
-        PhysPlan::ReqSync {
-            input,
-            attrs,
-            mode,
-            cap,
-        } => match rebind(*input, col) {
+        PhysPlan::ReqSync { input, attrs, cap } => match rebind(*input, col) {
             Ok(i) => Ok(PhysPlan::ReqSync {
                 input: Box::new(i),
                 attrs,
-                mode,
                 cap,
             }),
             Err(i) => Err(PhysPlan::ReqSync {
                 input: Box::new(i),
                 attrs,
-                mode,
                 cap,
             }),
         },
@@ -598,12 +509,7 @@ fn rewrite_first(
         Distinct { input } => unary!(Distinct, input,),
         Limit { input, n } => unary!(Limit, input, n),
         Rerank { input, scorer } => unary!(Rerank, input, scorer),
-        ReqSync {
-            input,
-            attrs,
-            mode,
-            cap,
-        } => unary!(ReqSync, input, attrs, mode, cap),
+        ReqSync { input, attrs, cap } => unary!(ReqSync, input, attrs, cap),
         DependentJoin { left, right } => binary!(DependentJoin, left, right,),
         NestedLoopJoin {
             left,

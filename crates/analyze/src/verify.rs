@@ -286,7 +286,7 @@ impl fmt::Display for Report {
 /// ```
 /// use wsq_analyze::verify;
 /// use wsq_common::Value;
-/// use wsq_engine::plan::{BufferMode, EvBinding, EvSpec, PhysPlan, PrefetchHint, VTableKind};
+/// use wsq_engine::plan::{EvBinding, EvSpec, PhysPlan, PrefetchHint, VTableKind};
 ///
 /// // The minimal legal asynchronous plan: an AEVScan producing a
 /// // placeholder Count, patched by a covering ReqSync above it.
@@ -304,7 +304,6 @@ impl fmt::Display for Report {
 /// let plan = PhysPlan::ReqSync {
 ///     attrs: spec.external_attrs(),
 ///     input: Box::new(PhysPlan::AEVScan(spec)),
-///     mode: BufferMode::Full,
 ///     cap: None,
 /// };
 /// let report = verify(&plan).expect("plan is placeholder-safe");
@@ -397,7 +396,7 @@ fn verify_inner(plan: &PhysPlan, forbid_ev: bool) -> Result<Report, VerifyError>
 /// ```
 /// use wsq_analyze::verify::{verify_bounds, Bound};
 /// use wsq_common::Value;
-/// use wsq_engine::plan::{BufferMode, EvBinding, EvSpec, PhysPlan, PrefetchHint, VTableKind};
+/// use wsq_engine::plan::{EvBinding, EvSpec, PhysPlan, PrefetchHint, VTableKind};
 ///
 /// let spec = EvSpec {
 ///     kind: VTableKind::WebCount,
@@ -413,7 +412,6 @@ fn verify_inner(plan: &PhysPlan, forbid_ev: bool) -> Result<Report, VerifyError>
 /// let plan = PhysPlan::ReqSync {
 ///     attrs: spec.external_attrs(),
 ///     input: Box::new(PhysPlan::AEVScan(spec)),
-///     mode: BufferMode::Full,
 ///     cap: Some(8),
 /// };
 /// let bounds = verify_bounds(&plan, Some(8)).expect("caps are consistent");

@@ -12,8 +12,7 @@ use wsq_common::{Column, DataType, Schema};
 use wsq_engine::asyncify;
 use wsq_engine::asyncify::asyncify_with_opts;
 use wsq_engine::plan::{
-    BufferMode, EvBinding, EvSpec, PhysPlan, PlacementStrategy, PrefetchHint, RerankScorer,
-    VTableKind,
+    EvBinding, EvSpec, PhysPlan, PlacementStrategy, PrefetchHint, RerankScorer, VTableKind,
 };
 use wsq_sql::ast::{BinOp, ColumnRef, Expr, Literal};
 
@@ -139,7 +138,7 @@ fn at_least_ten_corruption_classes() {
 fn asyncified_bases_verify_clean() {
     for (name, plan) in bases() {
         for strategy in [PlacementStrategy::Full, PlacementStrategy::InsertionOnly] {
-            let out = asyncify(plan.clone(), strategy, BufferMode::Full);
+            let out = asyncify(plan.clone(), strategy);
             if let Err(e) = verify_async(&out) {
                 panic!("base '{name}' ({strategy:?}) rejected:\n{e}\nplan:\n{out}");
             }
@@ -151,12 +150,7 @@ fn asyncified_bases_verify_clean() {
 fn every_mutation_class_is_rejected() {
     let asyncified: Vec<(&str, PhysPlan)> = bases()
         .into_iter()
-        .map(|(name, plan)| {
-            (
-                name,
-                asyncify(plan, PlacementStrategy::Full, BufferMode::Full),
-            )
-        })
+        .map(|(name, plan)| (name, asyncify(plan, PlacementStrategy::Full)))
         .collect();
 
     for &m in ALL_MUTATIONS {
@@ -210,19 +204,12 @@ fn resource_bound_mutations_fail_against_the_declared_cap() {
     const DECLARED: usize = 6;
     let hint = PrefetchHint {
         depth: 4,
-        window: 1,
         adaptive: false,
         batch: 1,
     };
     let mut applied = [0usize; 3];
     for (name, plan) in bases() {
-        let stamped = asyncify_with_opts(
-            plan,
-            PlacementStrategy::Full,
-            BufferMode::Full,
-            Some(DECLARED),
-            hint,
-        );
+        let stamped = asyncify_with_opts(plan, PlacementStrategy::Full, Some(DECLARED), hint);
         let bounds = verify_bounds(&stamped, Some(DECLARED))
             .unwrap_or_else(|e| panic!("stamped base '{name}' fails bounds:\n{e}"));
         assert!(
@@ -287,7 +274,6 @@ fn rerank_above_sync_accepted_below_rejected() {
     let base = asyncify(
         dj(states_scan(), spec("V1", VTableKind::WebPages)),
         PlacementStrategy::Full,
-        BufferMode::Full,
     );
     let good = PhysPlan::Rerank {
         input: Box::new(base),
@@ -315,7 +301,6 @@ fn stacked_mutations_still_rejected() {
             spec("V2", VTableKind::WebPages),
         ),
         PlacementStrategy::Full,
-        BufferMode::Full,
     );
     verify_async(&base).expect("base verifies");
 

@@ -249,7 +249,6 @@ fn measure_prefetch_ablation(rounds: usize) -> Vec<PrefetchAblation> {
             let opts = QueryOptions {
                 reqsync_cap: Some(4),
                 prefetch_depth: depth,
-                prefetch_window: window,
                 prefetch_adaptive: adaptive,
                 ..Default::default()
             };

@@ -26,7 +26,7 @@ pub mod session;
 pub use dsq::{Correlation, DsqExplorer, PairCorrelation};
 pub use session::{Session, SessionCursor, SessionStats, SharedWsq};
 pub use wsq_engine::db::{QueryResult, StatementResult};
-pub use wsq_engine::plan::{BufferMode, ExecutionMode, PlacementStrategy};
+pub use wsq_engine::plan::{ExecutionMode, PlacementStrategy};
 pub use wsq_engine::QueryOptions;
 
 use std::collections::HashMap;
@@ -250,8 +250,9 @@ impl Wsq {
         r
     }
 
-    /// Open a streaming cursor over a SELECT (rows on demand; combine with
-    /// [`BufferMode::Streaming`] for early first rows).
+    /// Open a streaming cursor over a SELECT: rows on demand, each handed
+    /// up as soon as its external calls complete, so the first row
+    /// arrives early even when a capped ReqSync stalls.
     pub fn query_cursor(&mut self, sql: &str) -> Result<wsq_engine::db::Cursor> {
         match wsq_sql::parse_one(sql)? {
             wsq_sql::Statement::Select(sel) => {

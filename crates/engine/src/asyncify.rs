@@ -20,12 +20,12 @@
 //! (case 1). Flushing merges every pending `Sync` into a **single**
 //! ReqSync — which is exactly Consolidation.
 
-use crate::plan::{BufferMode, EvBinding, EvSpec, PhysPlan, PlacementStrategy, PrefetchHint};
+use crate::plan::{EvBinding, EvSpec, PhysPlan, PlacementStrategy, PrefetchHint};
 use wsq_sql::ast::{ColumnRef, Expr};
 
 /// Rewrite a synchronous plan into its asynchronous-iteration form.
-pub fn asyncify(plan: PhysPlan, strategy: PlacementStrategy, mode: BufferMode) -> PhysPlan {
-    asyncify_with_cap(plan, strategy, mode, None)
+pub fn asyncify(plan: PhysPlan, strategy: PlacementStrategy) -> PhysPlan {
+    asyncify_with_cap(plan, strategy, None)
 }
 
 /// [`asyncify`], additionally stamping every emitted ReqSync with an
@@ -34,10 +34,9 @@ pub fn asyncify(plan: PhysPlan, strategy: PlacementStrategy, mode: BufferMode) -
 pub fn asyncify_with_cap(
     plan: PhysPlan,
     strategy: PlacementStrategy,
-    mode: BufferMode,
     cap: Option<usize>,
 ) -> PhysPlan {
-    asyncify_with_opts(plan, strategy, mode, cap, PrefetchHint::default())
+    asyncify_with_opts(plan, strategy, cap, PrefetchHint::default())
 }
 
 /// [`asyncify_with_cap`], additionally stamping a [`PrefetchHint`] onto
@@ -45,27 +44,23 @@ pub fn asyncify_with_cap(
 /// clamped against the ReqSync admission cap: a prefetching join may
 /// never hold more registered-but-undemanded calls than the §11 stall
 /// handshake would have admitted, so `depth <= cap` whenever a cap is
-/// set. The window is normalized to at least 1, and the executor batch
-/// size (DESIGN.md §14) is normalized to at least 1 and clamped to the
-/// cap by the same argument — a batched dependent join registers up to
-/// `batch` calls in one burst.
+/// set. The executor batch size (DESIGN.md §14) is normalized to at
+/// least 1 and clamped to the cap by the same argument — a batched
+/// dependent join registers up to `batch` calls in one burst.
 pub fn asyncify_with_opts(
     plan: PhysPlan,
     strategy: PlacementStrategy,
-    mode: BufferMode,
     cap: Option<usize>,
     prefetch: PrefetchHint,
 ) -> PhysPlan {
     let mut ctx = Ctx {
         strategy,
-        mode,
         cap,
         prefetch: PrefetchHint {
             depth: match cap {
                 Some(c) => prefetch.depth.min(c),
                 None => prefetch.depth,
             },
-            window: prefetch.window.max(1),
             adaptive: prefetch.adaptive,
             batch: match cap {
                 Some(c) => prefetch.batch.max(1).min(c.max(1)),
@@ -85,12 +80,7 @@ fn consolidate_adjacent(plan: PhysPlan) -> PhysPlan {
     use PhysPlan::*;
     let map = |p: Box<PhysPlan>| Box::new(consolidate_adjacent(*p));
     match plan {
-        ReqSync {
-            input,
-            attrs,
-            mode,
-            cap,
-        } => {
+        ReqSync { input, attrs, cap } => {
             let inner = consolidate_adjacent(*input);
             if let ReqSync {
                 input: inner_input,
@@ -108,7 +98,6 @@ fn consolidate_adjacent(plan: PhysPlan) -> PhysPlan {
                 ReqSync {
                     input: inner_input,
                     attrs: merged,
-                    mode,
                     // The merged operator keeps the tighter cap: the pair
                     // buffered independently before, so either bound alone
                     // was already a promise to the administrator.
@@ -121,7 +110,6 @@ fn consolidate_adjacent(plan: PhysPlan) -> PhysPlan {
                 ReqSync {
                     input: Box::new(inner),
                     attrs,
-                    mode,
                     cap,
                 }
             }
@@ -202,7 +190,6 @@ enum Pending {
 
 struct Ctx {
     strategy: PlacementStrategy,
-    mode: BufferMode,
     cap: Option<usize>,
     prefetch: PrefetchHint,
 }
@@ -261,7 +248,6 @@ impl Ctx {
             plan = PhysPlan::ReqSync {
                 input: Box::new(plan),
                 attrs,
-                mode: self.mode,
                 cap: self.cap,
             };
         }
@@ -561,12 +547,7 @@ impl Ctx {
             // An existing ReqSync (re-asyncifying an async plan): keep it
             // where it is, absorbing any rising Sync it already covers so
             // the transformation is idempotent.
-            PhysPlan::ReqSync {
-                input,
-                attrs,
-                mode,
-                cap,
-            } => {
+            PhysPlan::ReqSync { input, attrs, cap } => {
                 let (core, pending) = self.lift(*input);
                 let (absorbed, remaining): (Vec<_>, Vec<_>) =
                     pending.into_iter().partition(|p| match p {
@@ -578,7 +559,6 @@ impl Ctx {
                     PhysPlan::ReqSync {
                         input: Box::new(self.flush(core, remaining)),
                         attrs,
-                        mode,
                         cap: cap.or(self.cap),
                     },
                     vec![],
@@ -667,15 +647,9 @@ pub fn parallelize(plan: PhysPlan, threads: usize) -> PhysPlan {
             input: map(input),
             n,
         },
-        ReqSync {
-            input,
-            attrs,
-            mode,
-            cap,
-        } => ReqSync {
+        ReqSync { input, attrs, cap } => ReqSync {
             input: map(input),
             attrs,
-            mode,
             cap,
         },
         leaf => leaf,
@@ -787,7 +761,7 @@ mod tests {
                 webcount("WebCount", ("Sigs", "Name")),
             )),
         };
-        let out = asyncify(plan, PlacementStrategy::Full, BufferMode::Full);
+        let out = asyncify(plan, PlacementStrategy::Full);
         assert_eq!(count_kind(&out, "aevscan"), 1);
         assert_eq!(count_kind(&out, "evscan"), 0);
         assert_eq!(count_kind(&out, "reqsync"), 1);
@@ -815,7 +789,7 @@ mod tests {
             ),
             webpages("G", "Google", ("Sigs", "Name")),
         );
-        let out = asyncify(plan, PlacementStrategy::Full, BufferMode::Full);
+        let out = asyncify(plan, PlacementStrategy::Full);
         assert_eq!(count_kind(&out, "reqsync"), 1, "plan:\n{out}");
         assert_eq!(count_kind(&out, "aevscan"), 2);
         // The single ReqSync is the root and carries both attr sets.
@@ -838,7 +812,7 @@ mod tests {
             ),
             webpages("G", "Google", ("Sigs", "Name")),
         );
-        let out = asyncify(plan, PlacementStrategy::InsertionOnly, BufferMode::Full);
+        let out = asyncify(plan, PlacementStrategy::InsertionOnly);
         assert_eq!(count_kind(&out, "reqsync"), 2, "plan:\n{out}");
     }
 
@@ -862,7 +836,7 @@ mod tests {
                 Expr::qualified("C", "URL"),
             ),
         };
-        let out = asyncify(join, PlacementStrategy::Full, BufferMode::Full);
+        let out = asyncify(join, PlacementStrategy::Full);
         assert_eq!(count_kind(&out, "nlj"), 0);
         assert_eq!(count_kind(&out, "cross"), 1);
         assert_eq!(count_kind(&out, "reqsync"), 1);
@@ -890,7 +864,7 @@ mod tests {
                 webcount("WebCount", ("Sigs", "Name")),
             )),
         };
-        let out = asyncify(plan, PlacementStrategy::Full, BufferMode::Full);
+        let out = asyncify(plan, PlacementStrategy::Full);
         match &out {
             PhysPlan::ReqSync { input, .. } => {
                 assert!(matches!(input.as_ref(), PhysPlan::Filter { .. }));
@@ -913,7 +887,7 @@ mod tests {
                 webcount("WebCount", ("Sigs", "Name")),
             )),
         };
-        let out = asyncify(plan, PlacementStrategy::Full, BufferMode::Full);
+        let out = asyncify(plan, PlacementStrategy::Full);
         match &out {
             PhysPlan::Filter { input, .. } => {
                 assert!(matches!(input.as_ref(), PhysPlan::ReqSync { .. }));
@@ -948,7 +922,7 @@ mod tests {
             ),
             inner,
         );
-        let out = asyncify(plan, PlacementStrategy::Full, BufferMode::Full);
+        let out = asyncify(plan, PlacementStrategy::Full);
         assert_eq!(count_kind(&out, "reqsync"), 2, "plan:\n{out}");
         // The outer (root) ReqSync covers only the WebCount attrs.
         match &out {
@@ -973,7 +947,7 @@ mod tests {
             group_by: vec![],
             aggs: vec![(wsq_sql::ast::AggFunc::Count, None, "n".into())],
         };
-        let out = asyncify(plan, PlacementStrategy::Full, BufferMode::Full);
+        let out = asyncify(plan, PlacementStrategy::Full);
         match &out {
             PhysPlan::Aggregate { input, .. } => {
                 assert!(matches!(input.as_ref(), PhysPlan::ReqSync { .. }));
@@ -1002,7 +976,7 @@ mod tests {
             ],
             schema,
         };
-        let out = asyncify(plan, PlacementStrategy::Full, BufferMode::Full);
+        let out = asyncify(plan, PlacementStrategy::Full);
         match &out {
             PhysPlan::ReqSync { attrs, input, .. } => {
                 assert_eq!(attrs[0].to_string(), "Cnt");
@@ -1033,7 +1007,7 @@ mod tests {
             )],
             schema,
         };
-        let out = asyncify(plan, PlacementStrategy::Full, BufferMode::Full);
+        let out = asyncify(plan, PlacementStrategy::Full);
         match &out {
             PhysPlan::Project { input, .. } => {
                 assert!(matches!(input.as_ref(), PhysPlan::ReqSync { .. }));
@@ -1056,12 +1030,12 @@ mod tests {
                 right: Box::new(scan("B", &["x"])),
             }),
         };
-        let out = asyncify(plan.clone(), PlacementStrategy::Full, BufferMode::Full);
+        let out = asyncify(plan.clone(), PlacementStrategy::Full);
         assert_eq!(out, plan);
     }
 
     /// The prefetch hint is stamped onto every AEVScan, with its depth
-    /// clamped to the ReqSync admission cap and its window floored at 1.
+    /// clamped to the ReqSync admission cap.
     #[test]
     fn prefetch_hint_stamped_and_clamped() {
         let plan = dj(
@@ -1070,21 +1044,13 @@ mod tests {
         );
         let hint = PrefetchHint {
             depth: 16,
-            window: 0,
             adaptive: true,
             batch: 64,
         };
-        let out = asyncify_with_opts(
-            plan.clone(),
-            PlacementStrategy::Full,
-            BufferMode::Full,
-            Some(4),
-            hint,
-        );
+        let out = asyncify_with_opts(plan.clone(), PlacementStrategy::Full, Some(4), hint);
         let seen = out.count_nodes(&|p| {
             if let PhysPlan::AEVScan(spec) = p {
                 assert_eq!(spec.prefetch.depth, 4, "depth must clamp to cap");
-                assert_eq!(spec.prefetch.window, 1, "window floors at 1");
                 assert_eq!(spec.prefetch.batch, 4, "batch must clamp to cap");
                 assert!(spec.prefetch.adaptive);
                 true
@@ -1096,13 +1062,7 @@ mod tests {
 
         // Uncapped: the requested depth survives; plain asyncify leaves
         // prefetch off.
-        let out = asyncify_with_opts(
-            plan.clone(),
-            PlacementStrategy::Full,
-            BufferMode::Full,
-            None,
-            hint,
-        );
+        let out = asyncify_with_opts(plan.clone(), PlacementStrategy::Full, None, hint);
         out.count_nodes(&|p| {
             if let PhysPlan::AEVScan(spec) = p {
                 assert_eq!(spec.prefetch.depth, 16);
@@ -1110,7 +1070,7 @@ mod tests {
             }
             false
         });
-        let out = asyncify(plan, PlacementStrategy::Full, BufferMode::Full);
+        let out = asyncify(plan, PlacementStrategy::Full);
         out.count_nodes(&|p| {
             if let PhysPlan::AEVScan(spec) = p {
                 assert_eq!(spec.prefetch, PrefetchHint::default());
@@ -1129,8 +1089,8 @@ mod tests {
                 webcount("WebCount", ("Sigs", "Name")),
             )),
         };
-        let once = asyncify(plan, PlacementStrategy::Full, BufferMode::Full);
-        let twice = asyncify(once.clone(), PlacementStrategy::Full, BufferMode::Full);
+        let once = asyncify(plan, PlacementStrategy::Full);
+        let twice = asyncify(once.clone(), PlacementStrategy::Full);
         assert_eq!(once, twice);
     }
 }

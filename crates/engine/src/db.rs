@@ -4,7 +4,7 @@ use crate::builder::plan_select;
 use crate::catalog::Catalog;
 use crate::engines::EngineRegistry;
 use crate::exec::{self, ExecContext, TableSource};
-use crate::plan::{BufferMode, ExecutionMode, PhysPlan, PlacementStrategy};
+use crate::plan::{ExecutionMode, PhysPlan, PlacementStrategy};
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -25,8 +25,6 @@ pub struct QueryOptions {
     pub mode: ExecutionMode,
     /// ReqSync placement strategy (asynchronous mode only).
     pub strategy: PlacementStrategy,
-    /// ReqSync buffering discipline.
-    pub buffer: BufferMode,
     /// Worker-thread cap for [`ExecutionMode::ParallelJoins`].
     pub parallel_threads: usize,
     /// Admission-control cap on incomplete tuples buffered per ReqSync
@@ -39,11 +37,6 @@ pub struct QueryOptions {
     /// mode only; `0` disables). Clamped to `reqsync_cap` by the planner
     /// so prefetch can never admit calls admission control would refuse.
     pub prefetch_depth: usize,
-    /// Per-destination submission-window advice stamped into the plan
-    /// (`1` = per-request dispatch). The pump's own
-    /// `PumpConfig::submission_window` governs actual batching; this
-    /// field only records the planner's intent in the `PrefetchHint`.
-    pub prefetch_window: usize,
     /// Let the histogram-driven controller vary the lookahead between 1
     /// and `prefetch_depth` (no effect while `prefetch_depth` is 0).
     pub prefetch_adaptive: bool,
@@ -62,11 +55,9 @@ impl Default for QueryOptions {
         QueryOptions {
             mode: ExecutionMode::default(),
             strategy: PlacementStrategy::default(),
-            buffer: BufferMode::default(),
             parallel_threads: 16,
             reqsync_cap: None,
             prefetch_depth: 0,
-            prefetch_window: 1,
             prefetch_adaptive: false,
             batch_size: 1,
         }
@@ -532,11 +523,9 @@ impl Database {
                 let plan = crate::asyncify::asyncify_with_opts(
                     plan,
                     opts.strategy,
-                    opts.buffer,
                     opts.reqsync_cap,
                     crate::plan::PrefetchHint {
                         depth: opts.prefetch_depth,
-                        window: opts.prefetch_window,
                         adaptive: opts.prefetch_adaptive,
                         batch: opts.batch_size,
                     },
@@ -711,10 +700,10 @@ impl Database {
     }
 
     /// Open a streaming cursor over a SELECT: rows are produced on demand,
-    /// so with [`BufferMode::Streaming`] the first row can arrive long
-    /// before the last external call completes (§4.1's non-materializing
-    /// ReqSync). The cursor owns its executor tree and is independent of
-    /// `self` afterwards.
+    /// and ReqSync hands each tuple up as soon as its calls complete, so
+    /// the first row can arrive long before the last external call does
+    /// (§4.1), even while a capped ReqSync is stalled. The cursor owns its
+    /// executor tree and is independent of `self` afterwards.
     pub fn open_query(
         &self,
         stmt: &SelectStmt,

@@ -274,12 +274,10 @@ fn build_node(
             let child = build(input)?;
             Ok(Box::new(LimitExec::new(child, *n)))
         }
-        PhysPlan::ReqSync {
-            input, mode, cap, ..
-        } => {
+        PhysPlan::ReqSync { input, cap, .. } => {
             let child = build(input)?;
             Ok(Box::new(
-                ReqSyncExec::with_cap(child, ctx.pump.clone(), *mode, *cap)
+                ReqSyncExec::with_cap(child, ctx.pump.clone(), *cap)
                     .with_batch_size(ctx.batch_size),
             ))
         }

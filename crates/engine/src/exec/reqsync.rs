@@ -17,35 +17,42 @@
 //!
 //! The operator subscribes one pump [`Inbox`] and watches each call once,
 //! when the first tuple carrying it is admitted (watches are flushed in
-//! one pump-lock acquisition just before the operator next drains or
-//! blocks). The pump pushes each watched call into the inbox as it
+//! one pump-lock acquisition just before the operator next blocks). The pump pushes each watched call into the inbox as it
 //! completes, or at once if it already has. Draining takes only the
 //! calls that completed: per wakeup the cost is O(completions), not
 //! O(pending calls).
 //!
-//! # Admission control (backpressure)
+//! # Admission and stalls (backpressure)
 //!
-//! With a buffer cap configured (`QueryOptions::reqsync_cap` /
-//! `WsqConfig::reqsync_buffer_cap`), the operator **stalls** instead of
-//! buffering without bound: once `buffered` holds `cap` incomplete
-//! tuples it stops pulling from its child (the AEVScan side registers no
-//! new calls while un-pulled) and drains completions — blocking on
-//! [`Inbox::wait_drain`] between drains — until occupancy falls to the
-//! low-water mark (`cap / 2`), then resumes. A completion that lands
-//! between a drain and the sleep is already in the inbox, so the sleep
-//! returns at once; nothing can be lost, and the stalled thread holds no
-//! locks while it waits. Stalls surface as `Stalled`/`Resumed` trace
-//! events, the `wsq_reqsync_stalls_total` counter and the
-//! `wsq_reqsync_stall_seconds` histogram.
+//! There is one buffering discipline. `open` admits greedily: it pulls
+//! the child until the child is exhausted or, with a buffer cap
+//! configured (`QueryOptions::reqsync_cap` /
+//! `WsqConfig::reqsync_buffer_cap`), until `buffered` holds `cap`
+//! incomplete tuples. It never blocks, so an uncapped operator registers
+//! every call of the query inside `open`.
+//!
+//! Reaching the cap begins a **stall**: the operator stops pulling from
+//! its child (the un-pulled AEVScan side registers no new calls) until
+//! completions drain occupancy to the low-water mark (`cap / 2`), then
+//! admits greedily again. The stall is operator state that `next` and
+//! `next_batch` carry across calls, and rows keep leaving while it
+//! lasts: the operator hands up every ready tuple, and only with none in
+//! hand does it block on [`Inbox::wait_drain`], which takes every
+//! completion delivered so far. A completion that lands before the sleep
+//! is already in the inbox, so nothing can be lost, and the blocked
+//! thread holds no locks while it waits. Stalls surface as
+//! `Stalled`/`Resumed` trace events, the `wsq_reqsync_stalls_total`
+//! counter and the `wsq_reqsync_stall_seconds` histogram; a stall cut
+//! short by `close` (a LIMIT above, an abandoned cursor) is recorded
+//! once, like any other.
 
 use super::Executor;
-use crate::plan::BufferMode;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use wsq_common::{CallId, PendingCol, Result, Schema, Tuple, TupleBatch, Value};
 use wsq_obs::{EventKind, Obs};
-use wsq_pump::{Delivery, Inbox, ReqPump, SearchResult};
+use wsq_pump::{Inbox, ReqPump, SearchResult};
 
 struct BufTuple {
     tuple: Tuple,
@@ -56,12 +63,19 @@ struct BufTuple {
     admitted: Instant,
 }
 
+/// An admission stall in progress (see the module docs).
+struct Stall {
+    since: Instant,
+    /// The call the `Stalled` event was traced under; `Resumed` falls
+    /// back to it when no call is pending any more.
+    anchor: Option<CallId>,
+}
+
 /// The request synchronizer executor.
 pub struct ReqSyncExec {
     child: Box<dyn Executor>,
     pump: Arc<ReqPump>,
     obs: Obs,
-    mode: BufferMode,
     schema: Schema,
     /// Completed tuples awaiting emission.
     ready: VecDeque<Tuple>,
@@ -80,7 +94,11 @@ pub struct ReqSyncExec {
     unwatched: Vec<CallId>,
     /// Admission-control cap on `buffered` (`None` = unbounded).
     cap: Option<usize>,
-    /// Executor batch size for the Full-mode fill (1 = pull the child
+    /// The stall in progress, if the buffer reached the cap and has not
+    /// yet drained to the low-water mark. Outside a stall the child is
+    /// exhausted.
+    stall: Option<Stall>,
+    /// Executor batch size for child pulls (1 = pull the child
     /// tuple-at-a-time, bit-identical to the classic pipeline).
     batch_size: usize,
     next_id: u64,
@@ -91,18 +109,13 @@ pub struct ReqSyncExec {
 impl ReqSyncExec {
     /// Synchronize `child`'s placeholder tuples against `pump`, with an
     /// unbounded buffer (the paper's behaviour).
-    pub fn new(child: Box<dyn Executor>, pump: Arc<ReqPump>, mode: BufferMode) -> Self {
-        Self::with_cap(child, pump, mode, None)
+    pub fn new(child: Box<dyn Executor>, pump: Arc<ReqPump>) -> Self {
+        Self::with_cap(child, pump, None)
     }
 
     /// [`ReqSyncExec::new`] with an admission-control cap on buffered
     /// incomplete tuples (`None` = unbounded; `Some(0)` is treated as 1).
-    pub fn with_cap(
-        child: Box<dyn Executor>,
-        pump: Arc<ReqPump>,
-        mode: BufferMode,
-        cap: Option<usize>,
-    ) -> Self {
+    pub fn with_cap(child: Box<dyn Executor>, pump: Arc<ReqPump>, cap: Option<usize>) -> Self {
         let schema = child.schema().clone();
         let obs = pump.obs().clone();
         let inbox = pump.subscribe();
@@ -110,7 +123,6 @@ impl ReqSyncExec {
             child,
             pump,
             obs,
-            mode,
             schema,
             ready: VecDeque::new(),
             buffered: HashMap::new(),
@@ -119,6 +131,7 @@ impl ReqSyncExec {
             watched: HashSet::new(),
             unwatched: Vec::new(),
             cap: cap.map(|c| c.max(1)),
+            stall: None,
             batch_size: 1,
             next_id: 0,
             child_done: false,
@@ -126,10 +139,9 @@ impl ReqSyncExec {
         }
     }
 
-    /// Pull the child through `next_batch(n)` during the Full-mode fill
-    /// when `n > 1` (DESIGN.md §14). The stall/resume handshake and cap
-    /// semantics are unchanged: batched pulls are sized to the remaining
-    /// buffer room, so the high-water mark still never exceeds the cap.
+    /// Pull the child through `next_batch(n)` when `n > 1` (DESIGN.md
+    /// §14). Batched pulls are sized to the remaining buffer room, so the
+    /// high-water mark still never exceeds the cap.
     pub fn with_batch_size(mut self, n: usize) -> Self {
         self.batch_size = n.max(1);
         self
@@ -140,57 +152,85 @@ impl ReqSyncExec {
         self.cap.is_some_and(|c| self.buffered.len() >= c)
     }
 
-    /// Admission control: with the buffer full, stop admitting and drain
-    /// completions — blocking on the pump's targeted wakeup between
-    /// drains — until occupancy falls to the low-water mark (`cap / 2`).
-    ///
-    /// The loop can only run while `buffered` is non-empty, and every
-    /// buffered tuple keeps at least one pending call indexed and
-    /// watched, so the inbox always has a delivery coming: the stall
-    /// cannot deadlock, even at `cap == 1` (admit one → wait for its call →
-    /// drain → resume). §4.3 case-3 copy multiplication may transiently
-    /// overshoot the cap during a drain; the loop converges because the
-    /// query's call set is finite and copies register nothing new.
-    fn stall_until_low_water(&mut self) -> Result<()> {
-        let Some(cap) = self.cap else {
-            return Ok(());
-        };
-        if self.buffered.len() < cap {
-            return Ok(());
-        }
-        let low_water = cap / 2;
-        let stalled_at = Instant::now();
-        let anchor = if self.obs.is_enabled() {
-            let a = self.pending_calls().into_iter().min();
-            if let Some(c) = a {
-                self.obs.event(c, EventKind::Stalled);
+    /// Greedy admission: pull the child until it is exhausted or the
+    /// buffer reaches the cap, which begins a stall. Never blocks on the
+    /// pump.
+    fn admit_greedily(&mut self) -> Result<()> {
+        while !self.child_done {
+            if self.at_capacity() {
+                self.begin_stall();
+                return Ok(());
             }
-            a
-        } else {
-            None
-        };
+            let exhausted = if self.batch_size > 1 {
+                match self.child.next_batch(self.batch_room())? {
+                    Some(b) => {
+                        for t in b.into_tuples() {
+                            self.admit(t);
+                        }
+                        false
+                    }
+                    None => true,
+                }
+            } else {
+                match self.child.next()? {
+                    Some(t) => {
+                        self.admit(t);
+                        false
+                    }
+                    None => true,
+                }
+            };
+            if exhausted {
+                self.child.close()?;
+                self.child_done = true;
+            }
+        }
+        Ok(())
+    }
+
+    fn begin_stall(&mut self) {
+        let anchor = self.trace_anchor();
+        if let Some(c) = anchor {
+            self.obs.event(c, EventKind::Stalled);
+        }
         if let Some(m) = self.obs.metrics() {
             m.reqsync_stalls.inc();
         }
-        loop {
-            self.drain_completions()?;
-            if self.buffered.len() <= low_water {
-                break;
-            }
-            debug_assert!(
-                !self.index.is_empty(),
-                "buffered tuples with no pending call"
-            );
-            if self.index.is_empty() {
-                break;
-            }
-            self.await_completions()?;
-        }
+        self.stall = Some(Stall {
+            since: Instant::now(),
+            anchor,
+        });
+    }
+
+    /// Close out the stall in progress, if any: its duration is observed
+    /// exactly once, whether it resumed or was cut short.
+    fn end_stall(&mut self) {
+        let Some(stall) = self.stall.take() else {
+            return;
+        };
         if let Some(m) = self.obs.metrics() {
-            m.stall_duration.observe(stalled_at.elapsed());
+            m.stall_duration.observe(stall.since.elapsed());
         }
-        if let Some(c) = self.pending_calls().into_iter().min().or(anchor) {
+        if let Some(c) = self.trace_anchor().or(stall.anchor) {
             self.obs.event(c, EventKind::Resumed);
+        }
+    }
+
+    /// Leave a stall once completions have drained the buffer to the
+    /// low-water mark (`cap / 2`), and admit greedily again.
+    ///
+    /// A stall only persists while `buffered` is non-empty, and every
+    /// buffered tuple keeps at least one pending call indexed and
+    /// watched, so the inbox always has a delivery coming: a stall
+    /// cannot deadlock, even at `cap == 1` (admit one → wait for its
+    /// call → patch → resume). §4.3 case-3 copy multiplication may
+    /// transiently overshoot the cap during a drain; the stall still ends
+    /// because the query's call set is finite and copies register
+    /// nothing new.
+    fn resume_at_low_water(&mut self) -> Result<()> {
+        if self.stall.is_some() && self.buffered.len() <= self.cap.unwrap_or(0) / 2 {
+            self.end_stall();
+            self.admit_greedily()?;
         }
         Ok(())
     }
@@ -394,66 +434,29 @@ impl ReqSyncExec {
         );
     }
 
-    /// Pass every newly admitted call to the inbox in one pump-lock
-    /// acquisition.
-    fn flush_watches(&mut self) -> Result<()> {
-        if self.unwatched.is_empty() {
-            return Ok(());
+    /// Block until at least one watched call completes, then patch with
+    /// every completion delivered so far. Newly admitted calls are
+    /// watched first, in one pump-lock acquisition. Callers only block
+    /// with calls pending.
+    fn await_completions(&mut self) -> Result<()> {
+        if !self.unwatched.is_empty() {
+            let calls = std::mem::take(&mut self.unwatched);
+            self.inbox.watch(&calls)?;
         }
-        let calls = std::mem::take(&mut self.unwatched);
-        self.inbox.watch(&calls)
-    }
-
-    /// Patch with every delivered completion.
-    fn patch_all(&mut self, done: Vec<Delivery>) -> Result<()> {
-        for (cid, outcome) in done {
+        for (cid, outcome) in self.inbox.wait_drain()? {
             self.watched.remove(&cid);
             self.patch_with(cid, &outcome)?;
         }
         Ok(())
     }
 
-    /// Opportunistically patch every call completed so far, without
-    /// blocking. Repeats while deliveries keep arriving during patching.
-    fn drain_completions(&mut self) -> Result<()> {
-        self.flush_watches()?;
-        loop {
-            let done = self.inbox.try_drain();
-            if done.is_empty() {
-                return Ok(());
-            }
-            self.patch_all(done)?;
-        }
-    }
-
-    /// Block until at least one watched call completes, then patch with
-    /// everything delivered. Callers only block with calls pending.
-    fn await_completions(&mut self) -> Result<()> {
-        self.flush_watches()?;
-        let done = self.inbox.wait_drain()?;
-        self.patch_all(done)
-    }
-
-    /// Drop every watch and undelivered completion (the buffer they
-    /// served is gone).
-    fn reset_watches(&mut self) {
-        self.inbox.reset();
-        self.watched.clear();
-        self.unwatched.clear();
-    }
-
-    /// Calls we are still waiting on.
-    fn pending_calls(&self) -> Vec<CallId> {
-        self.index.keys().copied().collect()
-    }
-
-    /// How many tuples a batched child pull may admit right now without
-    /// overshooting the admission cap (callers only pull below the cap,
-    /// so the result is always at least 1).
-    fn batch_room(&self, max: usize) -> usize {
-        match self.cap {
-            Some(c) => max.min(c.saturating_sub(self.buffered.len()).max(1)),
-            None => max,
+    /// The smallest pending call, when tracing is on: the call that
+    /// operator-level trace events are recorded under.
+    fn trace_anchor(&self) -> Option<CallId> {
+        if self.obs.is_enabled() {
+            self.index.keys().min().copied()
+        } else {
+            None
         }
     }
 
@@ -461,17 +464,47 @@ impl ReqSyncExec {
     /// row count, and a `BatchEmitted` trace event is anchored to the
     /// smallest still-pending call (none pending → no event, so `.trace`
     /// call counts stay untouched).
-    fn emit_batch(&self, batch: TupleBatch) -> Result<Option<TupleBatch>> {
+    fn emit_batch(&self, batch: TupleBatch) -> TupleBatch {
         if let Some(m) = self.obs.metrics() {
             m.batch_rows
                 .observe(Duration::from_millis(batch.len() as u64));
         }
-        if self.obs.is_enabled() {
-            if let Some(c) = self.pending_calls().into_iter().min() {
-                self.obs.event(c, EventKind::BatchEmitted);
+        if let Some(c) = self.trace_anchor() {
+            self.obs.event(c, EventKind::BatchEmitted);
+        }
+        batch
+    }
+
+    /// How many tuples a batched child pull may admit right now without
+    /// overshooting the admission cap (callers only pull below the cap,
+    /// so the result is always at least 1).
+    fn batch_room(&self) -> usize {
+        match self.cap {
+            Some(c) => self
+                .batch_size
+                .min(c.saturating_sub(self.buffered.len()).max(1)),
+            None => self.batch_size,
+        }
+    }
+
+    /// Drop every buffered tuple, releasing the registrations it owns,
+    /// along with every watch, undelivered completion and ready row; a
+    /// stall in progress is closed out.
+    fn reset(&mut self) {
+        self.end_stall();
+        if let Some(m) = self.obs.metrics() {
+            m.reqsync_buffered.add(-(self.buffered.len() as i64));
+        }
+        self.inbox.reset();
+        self.watched.clear();
+        self.unwatched.clear();
+        for (_, entry) in self.buffered.drain() {
+            for c in entry.owns {
+                self.pump.release(c);
             }
         }
-        Ok(Some(batch))
+        self.index.clear();
+        self.ready.clear();
     }
 
     /// Debug-build invariant: `index` and `buffered` agree exactly —
@@ -500,6 +533,18 @@ impl ReqSyncExec {
 
     #[cfg(not(debug_assertions))]
     fn assert_compact(&self) {}
+
+    /// Debug-build invariant at the end of the stream: nothing is left
+    /// buffered, and the child was exhausted (outside a stall it always
+    /// is).
+    fn assert_finished(&self) {
+        debug_assert!(
+            self.buffered.is_empty(),
+            "drained index but {} tuples still buffered",
+            self.buffered.len()
+        );
+        debug_assert!(self.child_done, "stream ended before the child did");
+    }
 }
 
 /// Replace every placeholder of `call` in `tuple` using `value_for`.
@@ -521,162 +566,50 @@ impl Executor for ReqSyncExec {
     }
 
     fn open(&mut self) -> Result<()> {
-        self.ready.clear();
-        if let Some(m) = self.obs.metrics() {
-            m.reqsync_buffered.add(-(self.buffered.len() as i64));
-        }
-        self.buffered.clear();
-        self.index.clear();
-        self.reset_watches();
+        self.reset();
         self.child_done = false;
         self.opened = true;
         self.child.open()?;
-        if self.mode == BufferMode::Full {
-            // The paper's simple implementation: exhaust the child first,
-            // buffering every (incomplete) tuple. Calls complete in the
-            // background while we drain.
-            // With a cap, admission interleaves with draining: at the cap
-            // we stop pulling (no new calls register) and patch until the
-            // low-water mark frees slots. Completed tuples accumulate in
-            // `ready`, so Full-mode semantics are unchanged.
-            if self.batch_size > 1 {
-                loop {
-                    let room = self.batch_room(self.batch_size);
-                    match self.child.next_batch(room)? {
-                        Some(b) => {
-                            for t in b.into_tuples() {
-                                self.admit(t);
-                            }
-                            self.stall_until_low_water()?;
-                        }
-                        None => break,
-                    }
-                }
-            } else {
-                while let Some(t) = self.child.next()? {
-                    self.admit(t);
-                    self.stall_until_low_water()?;
-                }
-            }
-            self.child.close()?;
-            self.child_done = true;
-        }
-        Ok(())
+        self.admit_greedily()
     }
 
+    /// Hand up the next ready tuple. While stalled, ready tuples still
+    /// leave; only with none in hand does the operator block, and each
+    /// wakeup patches every completion delivered so far. At the
+    /// low-water mark it resumes greedy admission before emitting.
     fn next(&mut self) -> Result<Option<Tuple>> {
         loop {
+            self.resume_at_low_water()?;
             if let Some(t) = self.ready.pop_front() {
                 return Ok(Some(t));
             }
-            if !self.child_done {
-                // Admission control: at the cap, stall instead of pulling
-                // (the un-pulled AEVScan registers no new calls), then
-                // loop back — the drain may have readied tuples to emit.
-                if self.at_capacity() {
-                    self.stall_until_low_water()?;
-                    continue;
-                }
-                // Streaming mode: keep pulling; complete tuples pass
-                // straight through (§4.1: "tuples that do not depend on
-                // pending ReqPump calls may pass directly through").
-                match self.child.next()? {
-                    Some(t) => {
-                        if !t.is_incomplete() {
-                            return Ok(Some(t));
-                        }
-                        self.admit(t);
-                        self.drain_completions()?;
-                        continue;
-                    }
-                    None => {
-                        self.child.close()?;
-                        self.child_done = true;
-                        continue;
-                    }
-                }
-            }
             if self.index.is_empty() {
-                debug_assert!(
-                    self.buffered.is_empty(),
-                    "drained index but {} tuples still buffered",
-                    self.buffered.len()
-                );
+                self.assert_finished();
                 return Ok(None);
             }
             self.assert_compact();
-            // Block until something finishes, then absorb the whole burst
-            // of completions the inbox holds.
             self.await_completions()?;
         }
     }
 
-    /// Batched synchronization (DESIGN.md §14): pull whole child batches
-    /// (sized to the remaining buffer room under the cap), admit them,
-    /// and patch every completed placeholder from single inbox drains
-    /// into the buffer in one pass. Rows ready for emission leave as one
-    /// [`TupleBatch`]. The stall/resume
-    /// handshake is preserved batch-wise: at the cap the operator emits
-    /// what it holds, or — empty-handed — stalls to the low-water mark
-    /// exactly as the tuple path does.
+    /// Batched synchronization (DESIGN.md §14): the same discipline as
+    /// [`ReqSyncExec::next`], handing up to `max` ready rows out as one
+    /// [`TupleBatch`]. Rows in hand beat blocking, so a partial batch
+    /// leaves rather than waiting for more completions.
     fn next_batch(&mut self, max: usize) -> Result<Option<TupleBatch>> {
-        let max = max.max(1);
-        let mut out = TupleBatch::with_capacity(Arc::new(self.schema.clone()), max);
         loop {
-            while out.len() < max {
-                match self.ready.pop_front() {
-                    Some(t) => out.push(t),
-                    None => break,
+            self.resume_at_low_water()?;
+            if !self.ready.is_empty() {
+                let n = max.max(1).min(self.ready.len());
+                let mut out = TupleBatch::with_capacity(Arc::new(self.schema.clone()), n);
+                for t in self.ready.drain(..n) {
+                    out.push(t);
                 }
-            }
-            if out.len() >= max {
-                return self.emit_batch(out);
-            }
-            if !self.child_done {
-                if self.at_capacity() {
-                    // Hand back a partial batch rather than stalling with
-                    // rows in hand; stall only when empty-handed.
-                    if !out.is_empty() {
-                        return self.emit_batch(out);
-                    }
-                    self.stall_until_low_water()?;
-                    continue;
-                }
-                match self.child.next_batch(self.batch_room(max))? {
-                    Some(b) => {
-                        // `admit` routes complete tuples straight to
-                        // `ready` (§4.1 pass-through) and indexes the
-                        // rest; one drain absorbs everything that
-                        // completed while the child batch was assembled.
-                        for t in b.into_tuples() {
-                            self.admit(t);
-                        }
-                        self.drain_completions()?;
-                        continue;
-                    }
-                    None => {
-                        self.child.close()?;
-                        self.child_done = true;
-                        continue;
-                    }
-                }
+                return Ok(Some(self.emit_batch(out)));
             }
             if self.index.is_empty() {
-                debug_assert!(
-                    self.buffered.is_empty(),
-                    "drained index but {} tuples still buffered",
-                    self.buffered.len()
-                );
-                return if out.is_empty() {
-                    Ok(None)
-                } else {
-                    self.emit_batch(out)
-                };
-            }
-            // Rows in hand beat blocking: emit the partial batch and let
-            // the next call wait.
-            if !out.is_empty() {
-                return self.emit_batch(out);
+                self.assert_finished();
+                return Ok(None);
             }
             self.assert_compact();
             self.await_completions()?;
@@ -686,17 +619,7 @@ impl Executor for ReqSyncExec {
     fn close(&mut self) -> Result<()> {
         // Release every registration still owned by buffered tuples (the
         // query may have been cut short by a LIMIT above us).
-        if let Some(m) = self.obs.metrics() {
-            m.reqsync_buffered.add(-(self.buffered.len() as i64));
-        }
-        self.reset_watches();
-        for (_, entry) in self.buffered.drain() {
-            for c in entry.owns {
-                self.pump.release(c);
-            }
-        }
-        self.index.clear();
-        self.ready.clear();
+        self.reset();
         Ok(())
     }
 }

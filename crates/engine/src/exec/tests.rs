@@ -3,7 +3,7 @@
 //! carrying other pending calls).
 
 use super::*;
-use crate::plan::{BufferMode, EvBinding, EvSpec, PrefetchHint, VTableKind};
+use crate::plan::{EvBinding, EvSpec, PrefetchHint, VTableKind};
 use std::sync::Arc;
 use wsq_common::{Column, DataType, Schema, Tuple, Value};
 use wsq_pump::{
@@ -293,8 +293,9 @@ fn pages_spec(alias: &str) -> EvSpec {
     }
 }
 
-/// Dependent join of terms against an async WebPages scan, synchronized.
-fn async_pages_pipeline(terms: &[&str], pump: &Arc<ReqPump>, mode: BufferMode) -> Vec<Tuple> {
+/// Dependent join of terms against an async WebPages scan, synchronized
+/// under the admission cap `cap`.
+fn async_pages_pipeline(terms: &[&str], pump: &Arc<ReqPump>, cap: Option<usize>) -> Vec<Tuple> {
     let schema = Schema::new(vec![Column::new("term", DataType::Varchar)]);
     let left = rows(
         schema,
@@ -303,18 +304,20 @@ fn async_pages_pipeline(terms: &[&str], pump: &Arc<ReqPump>, mode: BufferMode) -
     let spec = pages_spec("W");
     let scan = Box::new(AEVScanExec::new(spec.clone(), pump.clone()));
     let dj = Box::new(DependentJoinExec::new(left, scan, &spec).unwrap());
-    let sync = Box::new(ReqSyncExec::new(dj, pump.clone(), mode));
+    let sync = Box::new(ReqSyncExec::with_cap(dj, pump.clone(), cap));
     drain(sync)
 }
 
 #[test]
 fn reqsync_generation_cancellation_and_fill() {
-    for mode in [BufferMode::Full, BufferMode::Streaming] {
+    // Uncapped, and capped so tightly that every admission stalls (at
+    // cap 1 the three "many" copies overshoot the cap mid-drain).
+    for cap in [None, Some(1), Some(2)] {
         let p = pump();
         // "many" → 3 hits (generation), "one" → 1 (fill), "none" → 0
         // (cancellation).
-        let out = async_pages_pipeline(&["many", "one", "none"], &p, mode);
-        assert_eq!(out.len(), 4, "{mode:?}");
+        let out = async_pages_pipeline(&["many", "one", "none"], &p, cap);
+        assert_eq!(out.len(), 4, "cap {cap:?}");
         let urls: Vec<&str> = out
             .iter()
             .map(|t| {
@@ -331,8 +334,8 @@ fn reqsync_generation_cancellation_and_fill() {
             assert!((1..=3).contains(&rank));
             assert!(!t.is_incomplete());
         }
-        assert_eq!(p.live_calls(), 0, "{mode:?}");
-        assert_eq!(p.live_watchers(), 0, "{mode:?}");
+        assert_eq!(p.live_calls(), 0, "cap {cap:?}");
+        assert_eq!(p.live_watchers(), 0, "cap {cap:?}");
     }
 }
 
@@ -354,7 +357,7 @@ fn reqsync_copies_propagate_other_pending_calls() {
     let scan_b = Box::new(AEVScanExec::new(spec_b.clone(), p.clone()));
     let dj_b = Box::new(DependentJoinExec::new(dj_a, scan_b, &spec_b).unwrap());
 
-    let sync = Box::new(ReqSyncExec::new(dj_b, p.clone(), BufferMode::Full));
+    let sync = Box::new(ReqSyncExec::new(dj_b, p.clone()));
     let out = drain(sync);
     // 3 hits from A × 2 hits from B... but B issued ONE call per A-tuple
     // (the optimistic tuple), so: 1 optimistic A-tuple → B joins once →
@@ -410,7 +413,7 @@ fn reqsync_error_path_compacts_every_waiting_tuple() {
     let scan_b = Box::new(AEVScanExec::new(spec_b.clone(), p.clone()));
     let dj_b = Box::new(DependentJoinExec::new(dj_a, scan_b, &spec_b).unwrap());
 
-    let mut sync = ReqSyncExec::new(dj_b, p.clone(), BufferMode::Full);
+    let mut sync = ReqSyncExec::new(dj_b, p.clone());
     sync.open().unwrap();
     let err = loop {
         match sync.next() {
@@ -435,13 +438,13 @@ fn reqsync_error_path_compacts_every_waiting_tuple() {
 
 #[test]
 fn reqsync_passthrough_of_complete_tuples() {
-    // Streaming mode: tuples with no placeholders flow straight through.
+    // Tuples with no placeholders flow straight through (§4.1).
     let p = pump();
     let child = rows(
         int_schema(&["x"]),
         vec![vec![Value::Int(1)], vec![Value::Int(2)]],
     );
-    let mut sync = ReqSyncExec::new(child, p.clone(), BufferMode::Streaming);
+    let mut sync = ReqSyncExec::new(child, p.clone());
     sync.open().unwrap();
     assert_eq!(sync.next().unwrap().unwrap().get(0).as_int().unwrap(), 1);
     assert_eq!(sync.next().unwrap().unwrap().get(0).as_int().unwrap(), 2);

@@ -40,18 +40,6 @@ pub enum PlacementStrategy {
     InsertionOnly,
 }
 
-/// ReqSync's buffering discipline (§4.1 discusses both).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum BufferMode {
-    /// Buffer the entire child output before emitting (the paper's simple
-    /// implementation).
-    #[default]
-    Full,
-    /// Pass already-complete tuples through without draining the child
-    /// first.
-    Streaming,
-}
-
 /// Which virtual table a scan implements (paper §3).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum VTableKind {
@@ -77,10 +65,9 @@ pub enum EvBinding {
 /// `depth` is the number of outer tuples a dependent join may pull (and
 /// register calls for) *ahead* of what its consumer has demanded; `0`
 /// disables prefetch and keeps the paper's purely demand-driven
-/// registration. `window` is forwarded to the pump's submission-window
-/// configuration hint (per-destination batched dispatch). `adaptive`
-/// turns `depth` into an upper bound steered at runtime by the
-/// `AdaptiveDepth` controller from the live latency histograms.
+/// registration. `adaptive` turns `depth` into an upper bound steered at
+/// runtime by the `AdaptiveDepth` controller from the live latency
+/// histograms.
 /// `batch` is the executor's batch-at-a-time size (DESIGN.md §14): a
 /// dependent join over this scan rebinds and registers up to `batch`
 /// outer tuples of external calls under one `register_batch`
@@ -90,8 +77,6 @@ pub enum EvBinding {
 pub struct PrefetchHint {
     /// Maximum outer tuples pulled ahead of demand (0 = off).
     pub depth: usize,
-    /// Preferred submission-window size for this scan's destination.
-    pub window: usize,
     /// Steer the effective depth from live latency histograms.
     pub adaptive: bool,
     /// Executor batch size stamped from `QueryOptions::batch_size`
@@ -103,7 +88,6 @@ impl Default for PrefetchHint {
     fn default() -> Self {
         PrefetchHint {
             depth: 0,
-            window: 1,
             adaptive: false,
             batch: 1,
         }
@@ -428,8 +412,6 @@ pub enum PhysPlan {
         input: Box<PhysPlan>,
         /// The attribute set `ReqSync.A` this operator fills in.
         attrs: Vec<ColumnRef>,
-        /// Buffering discipline.
-        mode: BufferMode,
         /// Admission-control cap on buffered incomplete tuples (`None` =
         /// unbounded, the paper's behaviour). When the buffer is full the
         /// operator stalls its child instead of admitting more.
@@ -839,7 +821,6 @@ mod tests {
             keys: vec![(Expr::column("Count"), true)],
             input: Box::new(PhysPlan::ReqSync {
                 attrs: spec(VTableKind::WebCount, true).external_attrs(),
-                mode: BufferMode::Full,
                 cap: None,
                 input: Box::new(PhysPlan::DependentJoin {
                     left: Box::new(PhysPlan::SeqScan {

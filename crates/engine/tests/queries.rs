@@ -5,7 +5,7 @@ use std::sync::Arc;
 use wsq_common::{Column, DataType, Schema, Tuple, Value};
 use wsq_engine::db::{Database, QueryOptions, StatementResult};
 use wsq_engine::engines::EngineRegistry;
-use wsq_engine::plan::{BufferMode, ExecutionMode, PlacementStrategy};
+use wsq_engine::plan::{ExecutionMode, PlacementStrategy};
 use wsq_pump::{PumpConfig, ReqPump};
 use wsq_websim::{CorpusConfig, EngineKind, SimWeb};
 
@@ -100,19 +100,21 @@ impl Harness {
                 ..Default::default()
             },
         );
+        // Each strategy uncapped, and under a cap tight enough that the
+        // ReqSync stalls and emits while stalled.
         let configs = [
-            (PlacementStrategy::Full, BufferMode::Full),
-            (PlacementStrategy::Full, BufferMode::Streaming),
-            (PlacementStrategy::InsertionOnly, BufferMode::Full),
-            (PlacementStrategy::InsertionOnly, BufferMode::Streaming),
+            (PlacementStrategy::Full, None),
+            (PlacementStrategy::Full, Some(2)),
+            (PlacementStrategy::InsertionOnly, None),
+            (PlacementStrategy::InsertionOnly, Some(2)),
         ];
-        for (strategy, buffer) in configs {
+        for (strategy, reqsync_cap) in configs {
             let got = self.query_with(
                 sql,
                 QueryOptions {
                     mode: ExecutionMode::Asynchronous,
                     strategy,
-                    buffer,
+                    reqsync_cap,
                     ..Default::default()
                 },
             );
@@ -124,7 +126,7 @@ impl Harness {
             }
             assert_eq!(
                 a, b,
-                "async ({strategy:?},{buffer:?}) diverged from sync on: {sql}"
+                "async ({strategy:?},cap {reqsync_cap:?}) diverged from sync on: {sql}"
             );
         }
         baseline

@@ -30,9 +30,7 @@ use wsq_analyze::lint::{scan_dir, FileLint};
 use wsq_analyze::{verify_bounds, Bound, Bounds};
 use wsq_common::{Column, DataType, Schema};
 use wsq_engine::asyncify::asyncify_with_opts;
-use wsq_engine::plan::{
-    BufferMode, EvBinding, EvSpec, PhysPlan, PlacementStrategy, PrefetchHint, VTableKind,
-};
+use wsq_engine::plan::{EvBinding, EvSpec, PhysPlan, PlacementStrategy, PrefetchHint, VTableKind};
 use wsq_sql::ast::ColumnRef;
 
 /// Crates whose panic sites are budgeted by the allowlist.
@@ -186,11 +184,9 @@ fn lint() -> ExitCode {
         let stamped = asyncify_with_opts(
             plan,
             PlacementStrategy::Full,
-            BufferMode::Full,
             Some(cap),
             PrefetchHint {
                 depth,
-                window: 8,
                 adaptive: false,
                 batch: 1,
             },

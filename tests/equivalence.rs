@@ -1,7 +1,7 @@
 //! The workspace's central correctness property: **asynchronous iteration
 //! is semantically transparent**. For any WSQ query, every combination of
-//! execution mode, ReqSync placement strategy, buffering discipline, and
-//! pump concurrency limit must produce the same bag of rows as plain
+//! execution mode, ReqSync placement strategy, admission cap, and pump
+//! concurrency limit must produce the same bag of rows as plain
 //! sequential execution.
 //!
 //! Queries are generated from a grammar covering the paper's shapes:
@@ -239,7 +239,6 @@ proptest! {
             Just(PlacementStrategy::Full),
             Just(PlacementStrategy::InsertionOnly)
         ],
-        buffer in prop_oneof![Just(BufferMode::Full), Just(BufferMode::Streaming)],
         cap in prop_oneof![Just(None), (1usize..12).prop_map(Some)],
         jitter in any::<bool>(),
         batch in prop_oneof![Just(1usize), Just(3), Just(8), Just(64)],
@@ -259,20 +258,19 @@ proptest! {
         let mut got = run(&db, &pump, &q.sql, EngineOpts {
             mode: ExecutionMode::Asynchronous,
             strategy,
-            buffer,
             ..Default::default()
         });
         if !q.ordered { got.sort(); }
 
         prop_assert_eq!(&got, &baseline,
-            "config ({:?},{:?},mc={},co={}) diverged on: {}",
-            strategy, buffer, max_concurrent, coalesce, q.sql);
+            "config ({:?},mc={},co={}) diverged on: {}",
+            strategy, max_concurrent, coalesce, q.sql);
         // No leaked pump registrations.
         prop_assert_eq!(pump.live_calls(), 0);
 
         // Admission control is invisible in the results: the capped run
         // returns the exact multiset the unbounded run did, for every
-        // cap >= 1, under both buffer modes. Batch-at-a-time execution
+        // cap >= 1. Batch-at-a-time execution
         // (DESIGN.md §14) rides the same assertion: every batch size,
         // crossed with every cap (including cap < batch, where one
         // batch crosses the buffer in cap-bounded waves), is
@@ -280,15 +278,14 @@ proptest! {
         let mut capped = run(&db, &pump, &q.sql, EngineOpts {
             mode: ExecutionMode::Asynchronous,
             strategy,
-            buffer,
             reqsync_cap: cap,
             batch_size: batch,
             ..Default::default()
         });
         if !q.ordered { capped.sort(); }
         prop_assert_eq!(&capped, &got,
-            "cap={:?} batch={} changed results under ({:?},{:?},mc={},co={}): {}",
-            cap, batch, strategy, buffer, max_concurrent, coalesce, q.sql);
+            "cap={:?} batch={} changed results under ({:?},mc={},co={}): {}",
+            cap, batch, strategy, max_concurrent, coalesce, q.sql);
         prop_assert_eq!(pump.live_calls(), 0);
 
         // Ahead-of-need prefetch and windowed submission are invisible
@@ -303,17 +300,15 @@ proptest! {
                 let mut pre = run(&db, &ppump, &q.sql, EngineOpts {
                     mode: ExecutionMode::Asynchronous,
                     strategy,
-                    buffer,
                     reqsync_cap: cap,
                     prefetch_depth: depth,
-                    prefetch_window: window,
                     batch_size: batch,
                     ..Default::default()
                 });
                 if !q.ordered { pre.sort(); }
                 prop_assert_eq!(&pre, &baseline,
-                    "prefetch depth={} window={} batch={} diverged under ({:?},{:?},cap={:?}): {}",
-                    depth, window, batch, strategy, buffer, cap, q.sql);
+                    "prefetch depth={} window={} batch={} diverged under ({:?},cap={:?}): {}",
+                    depth, window, batch, strategy, cap, q.sql);
                 prop_assert_eq!(ppump.live_calls(), 0,
                     "prefetch depth={} window={} batch={} leaked calls", depth, window, batch);
 
@@ -330,10 +325,8 @@ proptest! {
                 let plan = db.plan_query(&sel, &registry(), EngineOpts {
                     mode: ExecutionMode::Asynchronous,
                     strategy,
-                    buffer,
                     reqsync_cap: cap,
                     prefetch_depth: depth,
-                    prefetch_window: window,
                     batch_size: batch,
                     ..Default::default()
                 }).unwrap();

@@ -5,6 +5,7 @@
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+use wsq_protocol::{read_frame, write_frame, Frame, PROTOCOL_VERSION};
 use wsqdsq::prelude::*;
 use wsqdsq::websim::{DegradedConfig, DegradedService, FlakyService, RetryService};
 
@@ -149,7 +150,6 @@ fn flaky_backend_mid_window_releases_every_prefetched_slot() {
             QueryOptions {
                 reqsync_cap: Some(4),
                 prefetch_depth: 8, // planner clamps the lookahead to the cap
-                prefetch_window: 8,
                 ..Default::default()
             },
         )
@@ -321,19 +321,19 @@ fn chaos_rows(r: &QueryResult) -> Vec<(String, i64)> {
 /// Poll until every resource gauge reads zero, then assert so: a leaked
 /// pump slot, in-flight registration, buffered ReqSync tuple or inbox
 /// watch fails the scenario by name.
-fn assert_fully_drained(wsq: &Wsq, scenario: &str) {
-    let m = wsq.obs().metrics().unwrap();
+fn assert_fully_drained(pump: &ReqPump, scenario: &str) {
+    let m = pump.obs().metrics().unwrap();
     let deadline = Instant::now() + Duration::from_secs(2);
-    while (wsq.pump().live_calls() > 0
+    while (pump.live_calls() > 0
         || m.in_flight.get() > 0
         || m.reqsync_buffered.get() > 0
-        || wsq.pump().live_watchers() > 0)
+        || pump.live_watchers() > 0)
         && Instant::now() < deadline
     {
         std::thread::sleep(Duration::from_millis(2));
     }
     assert_eq!(
-        wsq.pump().live_calls(),
+        pump.live_calls(),
         0,
         "scenario '{scenario}' leaked pump slots"
     );
@@ -348,7 +348,7 @@ fn assert_fully_drained(wsq: &Wsq, scenario: &str) {
         "scenario '{scenario}' left buffered ReqSync tuples"
     );
     assert_eq!(
-        wsq.pump().live_watchers(),
+        pump.live_watchers(),
         0,
         "scenario '{scenario}' left inbox watches behind"
     );
@@ -411,7 +411,7 @@ fn chaos_matrix_preserves_rows_and_drains_every_resource() {
             "scenario '{}' changed the result rows",
             s.name
         );
-        assert_fully_drained(&wsq, &s.name);
+        assert_fully_drained(wsq.pump(), &s.name);
         let m = wsq.obs().metrics().unwrap();
         if s.racing {
             assert!(
@@ -439,4 +439,149 @@ fn chaos_matrix_preserves_rows_and_drains_every_resource() {
     // Scenario report for the CI artifact (best-effort: the assertions
     // above are the test; the file is observability).
     let _ = std::fs::write("target/degraded_scenarios.json", report);
+}
+
+// ---------------------------------------------------------------------
+// Mid-stall exits. A capped ReqSync carries its stall across `next`
+// calls, so a query can end while stalled: the consumer walks away, a
+// call fails, or a wire client disconnects. Each exit must drain every
+// resource and record the stall it cut short exactly once.
+// ---------------------------------------------------------------------
+
+/// No ORDER BY: rows stream out while the fan-out is still running.
+const STALL_QUERY: &str = "SELECT Name, Count FROM States, WebCount_Stall WHERE Name = T1";
+
+/// A cap of 4 below the 50-call fan-out, with calls slow enough that the
+/// stall is still open when the scenario ends it.
+fn stalling_config() -> WsqConfig {
+    WsqConfig {
+        latency: LatencyModel::Fixed(Duration::from_millis(5)),
+        pump: PumpConfig {
+            max_concurrent: 2,
+            ..PumpConfig::default()
+        },
+        reqsync_buffer_cap: Some(4),
+        ..WsqConfig::fast()
+    }
+}
+
+/// An instance under [`stalling_config`] whose `Stall` engine is the
+/// healthy simulator, or a flaky one (30% of calls fail, no retries).
+fn stalling_wsq(flaky: bool) -> Wsq {
+    let mut wsq = Wsq::open_in_memory(stalling_config()).unwrap();
+    wsq.load_reference_data().unwrap();
+    let mut engine: Arc<dyn wsq_pump::SearchService> = wsq.web().engine(EngineKind::AltaVista);
+    if flaky {
+        engine = FlakyService::new(engine, 300, 1234);
+    }
+    wsq.register_engine("Stall", engine, true);
+    wsq
+}
+
+/// Stall episodes begun, and stall durations recorded.
+fn stall_counts(pump: &ReqPump) -> (u64, u64) {
+    let m = pump.obs().metrics().unwrap();
+    (m.reqsync_stalls.get(), m.stall_duration.snapshot().count)
+}
+
+/// Every stall that began was recorded exactly once.
+fn assert_stalls_recorded(pump: &ReqPump, scenario: &str) {
+    let (stalls, recorded) = stall_counts(pump);
+    assert!(stalls > 0, "scenario '{scenario}' never stalled");
+    assert_eq!(
+        recorded, stalls,
+        "scenario '{scenario}' recorded {recorded} of {stalls} stall episodes"
+    );
+}
+
+/// A stall is open: one more episode began than was recorded.
+fn assert_stall_open(pump: &ReqPump, scenario: &str) {
+    let (stalls, recorded) = stall_counts(pump);
+    assert_eq!(
+        recorded + 1,
+        stalls,
+        "scenario '{scenario}' was not stalled ({recorded} of {stalls} episodes recorded)"
+    );
+}
+
+#[test]
+fn chaos_matrix_mid_stall_exits_drain_every_resource() {
+    // 1. The consumer drops its cursor between `next` calls, mid-stall.
+    let scenario = "cursor dropped mid-stall";
+    let mut wsq = stalling_wsq(false);
+    let mut cursor = wsq.query_cursor(STALL_QUERY).unwrap();
+    cursor.next_row().unwrap().expect("row");
+    cursor.next_row().unwrap().expect("row");
+    assert_stall_open(wsq.pump(), scenario);
+    drop(cursor);
+    assert_fully_drained(wsq.pump(), scenario);
+    assert_stalls_recorded(wsq.pump(), scenario);
+
+    // 2. A call fails while the ReqSync is stalled.
+    let scenario = "call fails mid-stall";
+    let mut wsq = stalling_wsq(true);
+    let mut cursor = wsq.query_cursor(STALL_QUERY).unwrap();
+    let err = loop {
+        match cursor.next_row() {
+            Ok(Some(_)) => {}
+            Ok(None) => panic!("scenario '{scenario}': the flaky fan-out succeeded"),
+            Err(e) => break e,
+        }
+    };
+    assert!(err.to_string().contains("503"), "{scenario}: {err}");
+    assert_stall_open(wsq.pump(), scenario);
+    drop(cursor);
+    assert_fully_drained(wsq.pump(), scenario);
+    assert_stalls_recorded(wsq.pump(), scenario);
+
+    // 3. A wire client disconnects while the server's cursor is stalled.
+    let scenario = "wire client disconnects mid-stall";
+    let shared = stalling_wsq(false).into_shared();
+    let pump = shared.pump().clone();
+    let handle = wsq_server::Server::bind(
+        shared,
+        wsq_server::ServerConfig {
+            rows_per_frame: 1, // flush row-by-row so EPIPE surfaces fast
+            ..wsq_server::ServerConfig::default()
+        },
+    )
+    .unwrap();
+    let mut stream = std::net::TcpStream::connect(handle.addr()).unwrap();
+    write_frame(
+        &mut stream,
+        &Frame::Hello {
+            version: PROTOCOL_VERSION,
+            client: "deserter".to_string(),
+        },
+    )
+    .unwrap();
+    assert!(matches!(
+        read_frame(&mut stream).unwrap(),
+        Some(Frame::Welcome { .. })
+    ));
+    write_frame(
+        &mut stream,
+        &Frame::Query {
+            sql: STALL_QUERY.to_string(),
+        },
+    )
+    .unwrap();
+    assert!(matches!(
+        read_frame(&mut stream).unwrap(),
+        Some(Frame::Schema { .. })
+    ));
+    assert!(matches!(
+        read_frame(&mut stream).unwrap(),
+        Some(Frame::Rows { .. })
+    ));
+    drop(stream);
+    // The server notices the dead socket on a later write and drops the
+    // cursor; poll until it has.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while pump.live_calls() > 0 && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    assert_fully_drained(&pump, scenario);
+    assert_stalls_recorded(&pump, scenario);
+    handle.shutdown();
 }
